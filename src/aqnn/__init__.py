@@ -20,7 +20,6 @@ from .dataset import (
     DataObject,
     Dataset,
     SyntheticGenConfig,
-    attribute_bounds,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -75,7 +74,6 @@ __all__ = [
     "TestDecision",
     "UsageError",
     "aggregate",
-    "attribute_bounds",
     "dist",
     "draw_pilot",
     "draw_sample",

@@ -29,8 +29,8 @@ from .harness import (
 )
 from .models import oracle_model, proxy_model
 from .seeding import spawn_rng
-from .frnn import NeighborSet, prf1
-from .sprint import QuerySpec, SprintConfig, select_neighbors
+from .frnn import prf1
+from .sprint import ALGORITHMS, QuerySpec, SprintConfig, select_neighbors
 from .stats import OPS
 
 _EXIT_BY_ERROR = {UsageError: 1, DataError: 2, DegenerateNeighborhoodError: 3}
@@ -87,6 +87,13 @@ def _gen_config(args, seed: int) -> SyntheticGenConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _sprint_config(args, seed: int) -> SprintConfig:
+    return SprintConfig(
+        s=args.s, s_p=args.sp, omega_v=args.omega_v, omega_c=args.omega_c,
+        alpha=args.alpha, max_iters=args.max_iters, seed=seed,
+    )
+
+
 def _load_or_generate(args, seed: int):
     if args.data is not None:
         return load_dataset(args.data)
@@ -134,10 +141,7 @@ def _cmd_gen(args) -> int:
 def _cmd_query(args) -> int:
     seed = _seed_from(args)
     ds = _load_or_generate(args, seed)
-    cfg = SprintConfig(
-        s=args.s, s_p=args.sp, omega_v=args.omega_v, omega_c=args.omega_c,
-        alpha=args.alpha, max_iters=args.max_iters, seed=seed,
-    )
+    cfg = _sprint_config(args, seed)
     if cfg.s > len(ds):
         raise UsageError(f"--s {cfg.s} exceeds population {len(ds)}")
     q_id = args.q_id
@@ -169,11 +173,7 @@ def _cmd_query(args) -> int:
         truth_val = gt.agg_values[args.agg]
         if truth_val is None:
             raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
-        on_s = NeighborSet(
-            gt.on_d.member_ids & frozenset(int(i) for i in res.sample_ids),
-            "oracle", "exact_frnn", query.r,
-        )
-        p, r, f1 = prf1(res.neighbors, on_s)
+        p, r, f1 = prf1(res.neighbors, gt.within(res.sample_ids))
         payload.update(
             truth=truth_val,
             re_pct=relative_error(estimate, truth_val) if truth_val != 0 else None,
@@ -251,10 +251,7 @@ def _cmd_bench(args) -> int:
             r=args.radius,
             aggs=[a.strip().upper() for a in args.agg.split(",") if a.strip()],
             algorithms=[a.strip() for a in args.algorithms.split(",") if a.strip()],
-            sprint=SprintConfig(
-                s=args.s, s_p=args.sp, omega_v=args.omega_v, omega_c=args.omega_c,
-                alpha=args.alpha, max_iters=args.max_iters, seed=seed,
-            ),
+            sprint=_sprint_config(args, seed),
             trials=args.trials,
             seed=seed,
             metric=args.metric,
@@ -301,10 +298,7 @@ def _cmd_ht(args) -> int:
         queries,
         r=args.radius,
         agg=args.agg,
-        sprint_cfg=SprintConfig(
-            s=args.s, s_p=args.sp, omega_v=args.omega_v, omega_c=args.omega_c,
-            alpha=args.alpha, max_iters=args.max_iters, seed=seed,
-        ),
+        sprint_cfg=_sprint_config(args, seed),
         factors=factors,
         ops=ops,
         k_samples=args.k,
@@ -383,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sprint_flags(p_bench, s_default=1000, sp_default=200)
     p_bench.add_argument("--queries", default="random:10")
     p_bench.add_argument("--agg", default="AVG", help="comma-separated aggregations")
-    p_bench.add_argument("--algorithms", default="sprint_v,sprint_c,two_phase")
+    p_bench.add_argument(
+        "--algorithms", default="sprint_v,sprint_c,two_phase",
+        help="comma-separated, from: "
+        + ", ".join("pqe_pt_fixed:<t>" if a == "pqe_pt_fixed" else a for a in ALGORITHMS),
+    )
     p_bench.add_argument("--trials", type=int, default=30)
     p_bench.add_argument("--sweep", choices=("dataset_size", "sample_size", "pilot_size", "radius"),
                          default=None)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -87,6 +86,14 @@ class Dataset:
             else:
                 proxy_emb = emb
 
+        for name, arr in (
+            ("attrs", attrs), ("features", features),
+            ("oracle_emb", oracle_emb), ("proxy_emb", proxy_emb),
+        ):
+            if arr is not None and not np.isfinite(arr).all():
+                bad_rows = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+                raise DataError(f"{name} row {int(np.argmax(bad_rows))} is not finite")
+
         if attr_bounds is None:
             attr_bounds = (float(attrs.min()), float(attrs.max()))
             bounds_source = "data"
@@ -139,10 +146,6 @@ class Dataset:
             proxy_embedding=None if self.proxy_emb is None else self.proxy_emb[i],
         )
 
-    @property
-    def objects(self) -> Iterator[DataObject]:
-        return (self.object(i) for i in range(len(self)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -161,13 +164,6 @@ class Dataset:
         )
 
     __hash__ = None  # mutable-looking container; identity hashing would mislead
-
-
-def attribute_bounds(ds: Dataset) -> tuple[float, float]:
-    """Return the dataset's closed attribute bounds (a, b)."""
-    if len(ds) == 0:
-        raise DataError("empty dataset")
-    return ds.attr_bounds
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ def dist(metric: str, u, v) -> float:
     """Distance between two vectors.
 
     ``euclidean`` is the L2 norm of the difference; ``cosine`` is
-    1 - cos(u, v), in [0, 2], and requires both vectors nonzero.
+    1 - cos(u, v), in [0, 2], and requires both vectors nonzero (a zero
+    vector is bad data and raises ``DataError``).
     """
     u, v = _as_vec(u), _as_vec(v)
     if u.shape != v.shape:
@@ -48,7 +49,7 @@ def dist(metric: str, u, v) -> float:
     if metric == "cosine":
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
         if nu == 0.0 or nv == 0.0:
-            raise ValueError("cosine distance undefined for zero vectors")
+            raise DataError("cosine distance undefined for zero vectors")
         # rounding can push the value a few ulp outside [0, 2]
         return float(min(2.0, max(0.0, 1.0 - float(np.dot(u, v)) / (nu * nv))))
     raise ValueError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
@@ -66,7 +67,7 @@ def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
         nq = np.linalg.norm(q)
         nm = np.linalg.norm(m, axis=1)
         if nq == 0.0 or np.any(nm == 0.0):
-            raise ValueError("cosine distance undefined for zero vectors")
+            raise DataError("cosine distance undefined for zero vectors")
         return np.clip(1.0 - (m @ q) / (nm * nq), 0.0, 2.0)
     raise ValueError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
 

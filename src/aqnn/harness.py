@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,26 +26,24 @@ from .aggregate import SCOPE_SAMPLE, SCOPE_TRUTH, AggregationContext, aggregate,
 from .bounds import BoundsInput, min_sizes_count, min_sizes_sum, min_sizes_value, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError, UsageError
-from .frnn import NeighborSet, distances_from, exact_frnn, prf1, top_k_baseline
-from .models import CallLedger, EmbeddingModel, embed_many, oracle_model, proxy_model, speedup
+from .frnn import NeighborSet, prf1
+from .models import CallLedger, EmbeddingModel, oracle_model, proxy_model, speedup
 from .seeding import derive_seed, spawn_rng
 from .sprint import (
+    ALGORITHMS,
     QuerySpec,
-    SelectionContext,
+    SelectionResult,
     SprintConfig,
     draw_pilot,
     draw_sample,
+    oracle_scan,
     resolve_query_object,
+    select,
     select_neighbors,
-    sprint_c,
-    sprint_v,
-    two_phase,
 )
 from .stats import Hypothesis, ht_accuracy, t_test_one_sample, z_test_proportion
 
 SWEEP_AXES = ("dataset_size", "sample_size", "pilot_size", "radius")
-
-SEARCH_ALGORITHMS = ("sprint_v", "sprint_c", "two_phase")
 
 
 def parse_algorithm(spec: str) -> tuple[str, float | None]:
@@ -58,7 +56,7 @@ def parse_algorithm(spec: str) -> tuple[str, float | None]:
         if not 0.0 <= t <= 1.0:
             raise UsageError("fixed precision target must lie in [0, 1]")
         return "pqe_pt_fixed", t
-    if spec in SEARCH_ALGORITHMS or spec in ("top_k", "brute_force"):
+    if spec in ALGORITHMS:
         return spec, None
     raise UsageError(f"unknown algorithm {spec!r}")
 
@@ -112,6 +110,11 @@ class GroundTruth:
     agg_values: dict[str, float | None]  # None where undefined (degenerate)
     density: float
     oracle_calls: int
+
+    def within(self, sample_ids: np.ndarray) -> NeighborSet:
+        """The true neighborhood restricted to a sample; charged to no ledger."""
+        members = self.on_d.member_ids & frozenset(np.asarray(sample_ids).tolist())
+        return replace(self.on_d, member_ids=members)
 
 
 @dataclass
@@ -173,7 +176,10 @@ class MetricsReport:
             "summary": self.summary,
         }
         if self.sweep is not None:
-            out["sweep"] = self.sweep
+            out["sweep"] = [
+                {k: v for k, v in entry.items() if include_timing or k != "mean_wall_time_s"}
+                for entry in self.sweep
+            ]
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -216,113 +222,45 @@ def ground_truth(
     aggs = list(aggs) if aggs is not None else [query.agg]
     ledger = CallLedger()
     q_obj = resolve_query_object(ds, query.q_id)
-    q_emb = oracle.embed(q_obj, ledger)
-    embeddings = embed_many(oracle, ds, ds.ids, ledger)
-    on_d = exact_frnn(ds.ids, embeddings, q_emb, query.r, query.metric, space="oracle")
-
-    members = sorted(on_d.member_ids)
-    values = ds.attrs[list(members)] if members else np.empty(0)
+    on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle, ledger)
     ctx = AggregationContext(
         sample_size_s=len(ds), population_size_D=len(ds), scope=SCOPE_TRUTH
     )
-    agg_values: dict[str, float | None] = {}
-    for agg in aggs:
-        try:
-            agg_values[agg] = aggregate(agg, values, len(members), ctx)
-        except DegenerateNeighborhoodError:
-            agg_values[agg] = None
     return GroundTruth(
         on_d=on_d,
-        agg_values=agg_values,
-        density=len(members) / len(ds),
+        agg_values=_aggregate_all(aggs, ds, on_d, ctx),
+        density=len(on_d) / len(ds),
         oracle_calls=ledger.oracle_calls,
     )
 
 
-def _select_for_algorithm(
-    algorithm: str,
-    fixed_t: float | None,
-    ds: Dataset,
-    query: QuerySpec,
-    cfg: SprintConfig,
-    oracle: EmbeddingModel,
-    proxy: EmbeddingModel,
-    sample_ids: np.ndarray,
-    pilot_ids: np.ndarray,
-    ledger: CallLedger,
-) -> tuple[NeighborSet, float | None, str]:
-    """Run one algorithm's selection; returns (set, t_star, note)."""
-    q_obj = resolve_query_object(ds, query.q_id)
-
-    if algorithm == "brute_force":
-        # Exact path: oracle embeddings for the entire population.
-        q_emb = oracle.embed(q_obj, ledger)
-        embeddings = embed_many(oracle, ds, ds.ids, ledger)
-        on_d = exact_frnn(ds.ids, embeddings, q_emb, query.r, query.metric, space="oracle")
-        return (
-            NeighborSet(on_d.member_ids, "oracle", "brute_force", on_d.threshold_used),
-            None,
-            "",
-        )
-
-    if algorithm == "top_k":
-        # Oracle labels over the whole sample set the budget K = |ON_S|.
-        q_oracle = oracle.embed(q_obj, ledger)
-        q_proxy = proxy.embed(q_obj, ledger)
-        oracle_embs = embed_many(oracle, ds, sample_ids, ledger)
-        on_s = exact_frnn(
-            sample_ids, oracle_embs, q_oracle, query.r, query.metric, space="oracle"
-        )
-        k = len(on_s)
-        if k == 0:
-            return NeighborSet(frozenset(), "proxy", "top_k", None), None, "K=0"
-        proxy_embs = embed_many(proxy, ds, sample_ids, ledger)
-        proxy_d = distances_from(query.metric, q_proxy, proxy_embs)
-        dists = {int(i): float(d) for i, d in zip(sample_ids, proxy_d)}
-        chosen = top_k_baseline(dists, k)
-        return chosen, None, ""
-
-    ctx = SelectionContext.build(
-        ds,
-        q_obj,
-        query.r,
-        query.metric,
-        sample_ids,
-        pilot_ids,
-        oracle,
-        proxy,
-        ledger,
-        delta=cfg.alpha,
-    )
-    if algorithm == "pqe_pt_fixed":
-        chosen = ctx.select_on_sample(fixed_t, f"pqe_pt_fixed:{fixed_t:g}")
-        return chosen, fixed_t, ""
-    if algorithm == "sprint_v":
-        out = sprint_v(ctx, cfg.omega_v)
-    elif algorithm == "sprint_c":
-        out = sprint_c(ctx, cfg.omega_c, cfg.max_iters)
-    else:
-        out = two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
-    return out.neighbors, out.t_star, ""
+def _aggregate_all(
+    aggs: Sequence[str], ds: Dataset, chosen: NeighborSet, ctx: AggregationContext
+) -> dict[str, float | None]:
+    """Each aggregation over the chosen objects; None where it is degenerate."""
+    members = sorted(chosen.member_ids)
+    values = ds.attrs[members] if members else np.empty(0)
+    out: dict[str, float | None] = {}
+    for agg in aggs:
+        try:
+            out[agg] = aggregate(agg, values, len(members), ctx)
+        except DegenerateNeighborhoodError:
+            out[agg] = None
+    return out
 
 
 def _evaluate_cell(
     algorithm: str,
     query_id: int,
     trial: int,
-    chosen: NeighborSet,
-    t_star: float | None,
-    note: str,
+    res: SelectionResult,
     ds: Dataset,
     aggs: Sequence[str],
     cfg: SprintConfig,
     gt: GroundTruth,
     on_s: NeighborSet,
-    ledger: CallLedger,
-    wall_time_s: float,
 ) -> CellResult:
-    members = sorted(chosen.member_ids)
-    values = ds.attrs[list(members)] if members else np.empty(0)
+    chosen = res.neighbors
     if algorithm == "brute_force":
         ctx = AggregationContext(len(ds), len(ds), SCOPE_TRUTH)
         truth_for_f1 = gt.on_d
@@ -330,23 +268,18 @@ def _evaluate_cell(
         ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
         truth_for_f1 = on_s
 
-    estimates: dict[str, float | None] = {}
+    estimates = _aggregate_all(aggs, ds, chosen, ctx)
     re_pct: dict[str, float | None] = {}
-    degenerate = False
-    for agg in aggs:
+    for agg, est in estimates.items():
         truth_val = gt.agg_values.get(agg)
-        try:
-            est = aggregate(agg, values, len(members), ctx)
-        except DegenerateNeighborhoodError:
-            est = None
-        estimates[agg] = est
-        if est is None or truth_val is None or truth_val == 0:
-            re_pct[agg] = None
-            degenerate = True
-            if not note:
-                note = "degenerate aggregate"
-        else:
-            re_pct[agg] = relative_error(est, truth_val)
+        usable = est is not None and truth_val is not None and truth_val != 0
+        re_pct[agg] = relative_error(est, truth_val) if usable else None
+    degenerate = None in re_pct.values()
+    # top_k keeps K = |ON_S| points, so its set is empty only when K = 0
+    if algorithm == "top_k" and not chosen:
+        note = "K=0"
+    else:
+        note = "degenerate aggregate" if degenerate else ""
 
     p, r, f1 = prf1(chosen, truth_for_f1)
     return CellResult(
@@ -357,13 +290,13 @@ def _evaluate_cell(
         re_pct=re_pct,
         f1_s=f1,
         pr_gap=abs(p - r),
-        t_star=t_star,
-        oracle_calls=ledger.oracle_calls,
-        proxy_calls=ledger.proxy_calls,
-        selected=len(members),
+        t_star=res.t_star,
+        oracle_calls=res.ledger.oracle_calls,
+        proxy_calls=res.ledger.proxy_calls,
+        selected=len(chosen),
         degenerate=degenerate,
         note=note,
-        wall_time_s=wall_time_s,
+        wall_time_s=0.0,  # the caller times the whole cell
     )
 
 
@@ -375,24 +308,18 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     sample_ids = draw_sample(ds, cfg.sprint.s, spawn_rng(cell_seed, "sample"))
     pilot_ids = draw_pilot(sample_ids, cfg.sprint.s_p, spawn_rng(cell_seed, "pilot"))
     gt = gts[query_id]
-    # Evaluation-only truth within the sample; charged to no ledger.
-    on_s = NeighborSet(
-        gt.on_d.member_ids & frozenset(int(i) for i in sample_ids),
-        "oracle",
-        "exact_frnn",
-        gt.on_d.threshold_used,
-    )
+    on_s = gt.within(sample_ids)
+    query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
 
     results = []
     for spec in cfg.algorithms:
         algorithm, fixed_t = parse_algorithm(spec)
-        query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
         ledger = CallLedger()
         start = time.perf_counter()
         try:
-            chosen, t_star, note = _select_for_algorithm(
-                algorithm, fixed_t, ds, query, cfg.sprint, cfg.oracle, cfg.proxy,
-                sample_ids, pilot_ids, ledger,
+            res = select(
+                algorithm, query, cfg.sprint, ds, cfg.oracle, cfg.proxy,
+                sample_ids, pilot_ids, ledger, fixed_t,
             )
         except DegenerateNeighborhoodError as exc:
             elapsed = time.perf_counter() - start
@@ -407,10 +334,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                 )
             )
             continue
-        cell = _evaluate_cell(
-            spec, query_id, trial, chosen, t_star, note, ds, cfg.aggs, cfg.sprint,
-            gt, on_s, ledger, 0.0,
-        )
+        cell = _evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint, gt, on_s)
         cell.wall_time_s = time.perf_counter() - start
         results.append(cell)
     return results
@@ -540,21 +464,25 @@ def _run_single(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
 
 
 def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    import dataclasses
-
-    if axis == "dataset_size":
-        if cfg.gen_config is None:
-            raise ValueError("dataset_size sweeps need a generator config")
-        gen = dataclasses.replace(cfg.gen_config, n_objects=int(value))
-        return dataclasses.replace(cfg, dataset=None, gen_config=gen, sweep=None)
-    if axis == "sample_size":
-        sp = dataclasses.replace(cfg.sprint, s=int(value))
-        return dataclasses.replace(cfg, sprint=sp, sweep=None)
-    if axis == "pilot_size":
-        sp = dataclasses.replace(cfg.sprint, s_p=int(value))
-        return dataclasses.replace(cfg, sprint=sp, sweep=None)
-    # radius
-    return dataclasses.replace(cfg, r=float(value), sweep=None)
+    """The single-pass config for one sweep value; rejects impossible sizes."""
+    try:
+        if axis == "dataset_size":
+            if cfg.gen_config is None:
+                raise ValueError("dataset_size sweeps need a generator config")
+            gen = replace(cfg.gen_config, n_objects=int(value))
+            sub = replace(cfg, dataset=None, gen_config=gen, sweep=None)
+        elif axis == "sample_size":
+            sub = replace(cfg, sprint=replace(cfg.sprint, s=int(value)), sweep=None)
+        elif axis == "pilot_size":
+            sub = replace(cfg, sprint=replace(cfg.sprint, s_p=int(value)), sweep=None)
+        else:  # radius
+            sub = replace(cfg, r=float(value), sweep=None)
+        n = len(sub.dataset) if sub.dataset is not None else sub.gen_config.n_objects
+        if sub.sprint.s > n:
+            raise ValueError(f"sample size {sub.sprint.s} exceeds population {n}")
+    except ValueError as exc:
+        raise ValueError(f"{axis} sweep value {value:g}: {exc}") from exc
+    return sub
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
@@ -567,9 +495,10 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
     if cfg.sweep is None:
         return _run_single(cfg, parallel)
 
+    # Vary every grid value first so a bad one fails before any pass runs.
+    subs = [_vary(cfg, cfg.sweep.axis, value) for value in cfg.sweep.grid]
     passes = []
-    for value in cfg.sweep.grid:
-        sub = _vary(cfg, cfg.sweep.axis, value)
+    for value, sub in zip(cfg.sweep.grid, subs):
         report = _run_single(sub, parallel)
         for cell in report.cells:
             cell.sweep_value = float(value)
@@ -742,15 +671,7 @@ def run_ht_protocol(
         # One selection per (query, trial), reused across factors and ops.
         trial_selections = []
         for trial in range(k_samples):
-            cfg_trial = SprintConfig(
-                s=sprint_cfg.s,
-                s_p=sprint_cfg.s_p,
-                omega_v=sprint_cfg.omega_v,
-                omega_c=sprint_cfg.omega_c,
-                alpha=sprint_cfg.alpha,
-                max_iters=sprint_cfg.max_iters,
-                seed=derive_seed(seed, "ht", qi, trial),
-            )
+            cfg_trial = replace(sprint_cfg, seed=derive_seed(seed, "ht", qi, trial))
             res = select_neighbors(query, cfg_trial, ds, oracle, proxy)
             members = sorted(res.neighbors.member_ids)
             trial_selections.append(members)

@@ -73,18 +73,17 @@ class EmbeddingModel:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
-    def _simulate(self, obj: DataObject) -> np.ndarray:
-        base = obj.oracle_embedding if obj.oracle_embedding is not None else obj.features
+    def _simulate(self, obj_id: int, base: np.ndarray) -> np.ndarray:
+        """Re-derive object ``obj_id``'s embedding from its base vector."""
+        base = np.asarray(base, dtype=np.float64)
         if self.noise_sigma == 0.0:
-            return np.asarray(base, dtype=np.float64)
+            return base
         # Stream keyed by (model seed, object id); ids shifted by one so the
         # pipeline's external-query pseudo-id -1 gets its own stream.
         rng = np.random.default_rng(
-            [int(self.noise_seed) & _MASK64, (int(obj.id) + 1) & _MASK64]
+            [int(self.noise_seed) & _MASK64, (int(obj_id) + 1) & _MASK64]
         )
-        return np.asarray(base, dtype=np.float64) + rng.normal(
-            0.0, self.noise_sigma, size=len(base)
-        )
+        return base + rng.normal(0.0, self.noise_sigma, size=len(base))
 
     def embed(self, obj: DataObject, ledger: CallLedger) -> np.ndarray:
         """Embed one object, charging the ledger at most once for it."""
@@ -93,7 +92,8 @@ class EmbeddingModel:
             if emb is None:
                 raise DataError(f"object {obj.id} has no stored {self.role} embedding")
         else:
-            emb = self._simulate(obj)
+            base = obj.oracle_embedding if obj.oracle_embedding is not None else obj.features
+            emb = self._simulate(obj.id, base)
         ledger.charge(self.role, obj.id)
         return np.asarray(emb, dtype=np.float64)
 
@@ -135,7 +135,8 @@ def embed_many(
         if matrix is None:
             raise DataError(f"dataset has no stored {model.role} embeddings")
         return matrix[ids]
-    return np.vstack([model._simulate(ds.object(int(oid))) for oid in ids])
+    base = ds.oracle_emb if ds.oracle_emb is not None else ds.features
+    return np.vstack([model._simulate(int(oid), base[oid]) for oid in ids])
 
 
 def speedup(

@@ -8,6 +8,11 @@ count-sensitive ones (PCT, COUNT) get a binary search balancing pilot
 precision against recall; SUM runs the balance search first and then
 refines the target within +-0.05 for F1.
 
+``select`` is the one dispatch from an algorithm name in ``ALGORITHMS``
+to selection code: the three searches, the fixed-target cutoff, and the
+top_k and brute_force baselines. ``select_neighbors`` draws the sample and
+pilot and runs the aggregation's search through it.
+
 One root seed drives independent derived streams for the sample and the
 pilot, so resizing the pilot never perturbs the sample. The ledger over a
 full run charges exactly s proxy calls and s_p oracle calls for sample
@@ -16,18 +21,30 @@ objects plus one call of each model for the query target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .dataset import DataObject, Dataset
 from .errors import DegenerateNeighborhoodError
-from .frnn import NeighborSet, PrecisionTargetConfig, distances_from, pqe_pt, prf1
+from .frnn import (
+    NeighborSet,
+    PrecisionTargetConfig,
+    distances_from,
+    exact_frnn,
+    pqe_pt,
+    prf1,
+    top_k_baseline,
+)
 from .models import CallLedger, EmbeddingModel, embed_many
 from .seeding import spawn_rng
 
 SENSITIVITY = {"AVG": "value", "VAR": "value", "PCT": "count", "COUNT": "count", "SUM": "both"}
+SEARCH_BY_SENSITIVITY = {"value": "sprint_v", "count": "sprint_c", "both": "two_phase"}
+
+# Every selection algorithm ``select`` runs; pqe_pt_fixed takes a target.
+ALGORITHMS = ("sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed", "top_k", "brute_force")
 
 TWO_PHASE_WINDOW = 0.05  # half-width of the refinement window around the balanced target
 
@@ -128,20 +145,59 @@ def ternary_search_max(
 
 
 @dataclass(frozen=True)
+class SelectionResult:
+    """A selection's outputs plus the context needed for aggregation.
+
+    ``t_star`` is None, and ``iterations`` and ``probes`` are 0, for the
+    baselines that search no precision target (top_k, brute_force).
+    """
+
+    neighbors: NeighborSet
+    sample_ids: np.ndarray
+    pilot_ids: np.ndarray
+    t_star: float | None
+    iterations: int
+    probes: int
+    ledger: CallLedger
+
+
+def oracle_scan(
+    ds: Dataset, query: DataObject, ids: np.ndarray, r: float, metric: str,
+    oracle: EmbeddingModel, ledger: CallLedger,
+) -> NeighborSet:
+    """Exact oracle neighborhood of the query among ``ids``.
+
+    Charges the ledger one oracle call per id plus one for the query.
+    """
+    q_emb = oracle.embed(query, ledger)
+    return exact_frnn(ids, embed_many(oracle, ds, ids, ledger), q_emb, r, metric, space="oracle")
+
+
+def _proxy_distances(
+    ds: Dataset, query: DataObject, ids: np.ndarray, metric: str,
+    proxy: EmbeddingModel, ledger: CallLedger,
+) -> dict[int, float]:
+    """Proxy distance from the query to each id, charging the proxy calls."""
+    q_emb = proxy.embed(query, ledger)
+    d = distances_from(metric, q_emb, embed_many(proxy, ds, ids, ledger))
+    return dict(zip(ids.tolist(), d.tolist()))
+
+
+@dataclass(frozen=True)
 class SelectionContext:
     """Precomputed state one query's selection algorithms share.
 
-    Proxy distances cover the whole sample; oracle distances only the
-    pilot. ``pilot_truth`` is the oracle neighborhood within the pilot.
+    Proxy distances cover the whole sample; oracle labels only the pilot.
+    ``pilot_truth`` is the oracle neighborhood within the pilot.
     """
 
     sample_ids: np.ndarray
     pilot_ids: np.ndarray
     proxy_dist: dict[int, float]
-    pilot_oracle_dist: dict[int, float]
     pilot_truth: NeighborSet
     r: float
     delta: float
+    ledger: CallLedger
 
     @classmethod
     def build(
@@ -159,35 +215,20 @@ class SelectionContext:
     ) -> "SelectionContext":
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         pilot_ids = np.asarray(pilot_ids, dtype=np.int64)
-        q_oracle = oracle.embed(query, ledger)
-        q_proxy = proxy.embed(query, ledger)
-
-        proxy_embs = embed_many(proxy, ds, sample_ids, ledger)
-        proxy_d = distances_from(metric, q_proxy, proxy_embs)
-        oracle_embs = embed_many(oracle, ds, pilot_ids, ledger)
-        oracle_d = distances_from(metric, q_oracle, oracle_embs)
-
-        pilot_truth = NeighborSet(
-            member_ids=frozenset(
-                int(i) for i, d in zip(pilot_ids, oracle_d) if d <= r
-            ),
-            space="oracle",
-            method="exact_frnn",
-            threshold_used=float(r),
-        )
         return cls(
             sample_ids=sample_ids,
             pilot_ids=pilot_ids,
-            proxy_dist={int(i): float(d) for i, d in zip(sample_ids, proxy_d)},
-            pilot_oracle_dist={int(i): float(d) for i, d in zip(pilot_ids, oracle_d)},
-            pilot_truth=pilot_truth,
+            proxy_dist=_proxy_distances(ds, query, sample_ids, metric, proxy, ledger),
+            pilot_truth=oracle_scan(ds, query, pilot_ids, r, metric, oracle, ledger),
             r=float(r),
             delta=float(delta),
+            ledger=ledger,
         )
 
-    def select_on_pilot(self, t: float) -> NeighborSet:
+    def _select(self, ids: np.ndarray, t: float) -> NeighborSet:
+        """Apply the cutoff calibrated on the pilot at target t to ``ids``."""
         return pqe_pt(
-            self.pilot_ids,
+            ids,
             self.proxy_dist,
             self.pilot_ids,
             self.pilot_truth,
@@ -196,22 +237,23 @@ class SelectionContext:
         )
 
     def pilot_prf1(self, t: float) -> tuple[float, float, float]:
-        return prf1(self.select_on_pilot(t), self.pilot_truth)
+        return prf1(self._select(self.pilot_ids, t), self.pilot_truth)
 
     def select_on_sample(self, t: float, method: str) -> NeighborSet:
-        chosen = pqe_pt(
-            self.sample_ids,
-            self.proxy_dist,
-            self.pilot_ids,
-            self.pilot_truth,
-            PrecisionTargetConfig(t=t, delta=self.delta),
-            self.r,
-        )
-        return NeighborSet(
-            member_ids=chosen.member_ids,
-            space="mixed",
-            method=method,
-            threshold_used=chosen.threshold_used,
+        return replace(self._select(self.sample_ids, t), method=method)
+
+    def result(
+        self, t_star: float, method: str, iterations: int = 0, probes: int = 0
+    ) -> SelectionResult:
+        """Select on the sample at target t_star and record how it was found."""
+        return SelectionResult(
+            neighbors=self.select_on_sample(t_star, method),
+            sample_ids=self.sample_ids,
+            pilot_ids=self.pilot_ids,
+            t_star=t_star,
+            iterations=iterations,
+            probes=probes,
+            ledger=self.ledger,
         )
 
     def require_pilot_truth(self) -> None:
@@ -219,31 +261,11 @@ class SelectionContext:
             raise DegenerateNeighborhoodError(_NO_PILOT_TRUE_MSG)
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    neighbors: NeighborSet
-    t_star: float
-    iterations: int
-    probes: int
-
-
-def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionOutcome:
+def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionResult:
     """Maximize pilot F1 by ternary search over the precision target."""
     ctx.require_pilot_truth()
-    probes = 0
-
-    def f1_at(t: float) -> float:
-        nonlocal probes
-        probes += 1
-        return ctx.pilot_prf1(t)[2]
-
-    t_star, iterations = ternary_search_max(f1_at, omega_v)
-    return SelectionOutcome(
-        neighbors=ctx.select_on_sample(t_star, "sprint_v"),
-        t_star=t_star,
-        iterations=iterations,
-        probes=probes,
-    )
+    t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v)
+    return ctx.result(t_star, "sprint_v", iterations, 2 * iterations)
 
 
 def _balance_search(
@@ -275,21 +297,16 @@ def _balance_search(
     return best_t, probes
 
 
-def sprint_c(ctx: SelectionContext, omega_c: float, max_iters: int = 30) -> SelectionOutcome:
+def sprint_c(ctx: SelectionContext, omega_c: float, max_iters: int = 30) -> SelectionResult:
     """Equalize pilot precision and recall by binary search over the target."""
     ctx.require_pilot_truth()
     t_star, probes = _balance_search(ctx, omega_c, max_iters)
-    return SelectionOutcome(
-        neighbors=ctx.select_on_sample(t_star, "sprint_c"),
-        t_star=t_star,
-        iterations=probes,
-        probes=probes,
-    )
+    return ctx.result(t_star, "sprint_c", probes, probes)
 
 
 def two_phase(
     ctx: SelectionContext, omega_c: float, omega_v: float, max_iters: int = 30
-) -> SelectionOutcome:
+) -> SelectionResult:
     """Balance precision and recall, then refine nearby for the best F1.
 
     Phase 1 finds the balanced target t_c; phase 2 ternary-searches F1 on
@@ -299,33 +316,8 @@ def two_phase(
     t_c, probes_c = _balance_search(ctx, omega_c, max_iters)
     lo = max(0.0, t_c - TWO_PHASE_WINDOW)
     hi = min(1.0, t_c + TWO_PHASE_WINDOW)
-    probes = probes_c
-
-    def f1_at(t: float) -> float:
-        nonlocal probes
-        probes += 1
-        return ctx.pilot_prf1(t)[2]
-
-    t_star, iterations = ternary_search_max(f1_at, omega_v, lo, hi)
-    return SelectionOutcome(
-        neighbors=ctx.select_on_sample(t_star, "two_phase"),
-        t_star=t_star,
-        iterations=iterations,
-        probes=probes,
-    )
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """A pipeline run's outputs plus the context needed for aggregation."""
-
-    neighbors: NeighborSet
-    sample_ids: np.ndarray
-    pilot_ids: np.ndarray
-    t_star: float
-    iterations: int
-    probes: int
-    ledger: CallLedger
+    t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v, lo, hi)
+    return ctx.result(t_star, "two_phase", iterations, probes_c + 2 * iterations)
 
 
 def resolve_query_object(ds: Dataset, q_id) -> DataObject:
@@ -343,6 +335,54 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     )
 
 
+def select(
+    algorithm: str, query: QuerySpec, cfg: SprintConfig, ds: Dataset,
+    oracle: EmbeddingModel, proxy: EmbeddingModel,
+    sample_ids: np.ndarray, pilot_ids: np.ndarray, ledger: CallLedger,
+    fixed_t: float | None = None,
+) -> SelectionResult:
+    """Run one selection algorithm on a drawn sample and pilot.
+
+    The searches and ``pqe_pt_fixed`` (at target ``fixed_t``) calibrate on
+    the pilot; ``top_k`` labels the whole sample with the oracle and keeps
+    the K proxy-nearest, K being the true neighbor count; ``brute_force``
+    labels all of D. Every model call is charged to ``ledger``.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    q_obj = resolve_query_object(ds, query.q_id)
+    sample_ids = np.asarray(sample_ids, dtype=np.int64)
+
+    if algorithm == "brute_force":
+        on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle, ledger)
+        chosen = replace(on_d, method="brute_force")
+        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, 0, ledger)
+    if algorithm == "top_k":
+        # Oracle labels over the whole sample set the budget K = |ON_S|.
+        k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, oracle, ledger))
+        if k:
+            dists = _proxy_distances(ds, q_obj, sample_ids, query.metric, proxy, ledger)
+            chosen = top_k_baseline(dists, k)
+        else:  # nothing to rank; only the target's proxy call is spent
+            proxy.embed(q_obj, ledger)
+            chosen = NeighborSet(frozenset(), "proxy", "top_k")
+        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, 0, ledger)
+
+    ctx = SelectionContext.build(
+        ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, oracle, proxy, ledger,
+        delta=cfg.alpha,
+    )
+    # The searches are looked up as module globals at call time, so a tracer
+    # that rebinds them (bench/spans.py) sees every call.
+    if algorithm == "pqe_pt_fixed":
+        return ctx.result(fixed_t, f"pqe_pt_fixed:{fixed_t:g}")
+    if algorithm == "sprint_v":
+        return sprint_v(ctx, cfg.omega_v)
+    if algorithm == "sprint_c":
+        return sprint_c(ctx, cfg.omega_c, cfg.max_iters)
+    return two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
+
+
 def select_neighbors(
     query: QuerySpec,
     cfg: SprintConfig,
@@ -350,39 +390,12 @@ def select_neighbors(
     oracle: EmbeddingModel,
     proxy: EmbeddingModel,
 ) -> SelectionResult:
-    """Run the full pipeline, dispatching on the aggregation's sensitivity.
+    """Draw the sample and pilot, then run the aggregation's search.
 
     AVG and VAR route to the F1-maximizing search, PCT and COUNT to the
     precision-recall balancing search, SUM to the two-phase strategy.
     """
-    ledger = CallLedger()
     sample_ids = draw_sample(ds, cfg.s, spawn_rng(cfg.seed, "sample"))
     pilot_ids = draw_pilot(sample_ids, cfg.s_p, spawn_rng(cfg.seed, "pilot"))
-    ctx = SelectionContext.build(
-        ds,
-        resolve_query_object(ds, query.q_id),
-        query.r,
-        query.metric,
-        sample_ids,
-        pilot_ids,
-        oracle,
-        proxy,
-        ledger,
-        delta=cfg.alpha,
-    )
-    sensitivity = query.sensitivity
-    if sensitivity == "value":
-        outcome = sprint_v(ctx, cfg.omega_v)
-    elif sensitivity == "count":
-        outcome = sprint_c(ctx, cfg.omega_c, cfg.max_iters)
-    else:
-        outcome = two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
-    return SelectionResult(
-        neighbors=outcome.neighbors,
-        sample_ids=sample_ids,
-        pilot_ids=pilot_ids,
-        t_star=outcome.t_star,
-        iterations=outcome.iterations,
-        probes=outcome.probes,
-        ledger=ledger,
-    )
+    algorithm = SEARCH_BY_SENSITIVITY[query.sensitivity]
+    return select(algorithm, query, cfg, ds, oracle, proxy, sample_ids, pilot_ids, CallLedger())

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from aqnn import Dataset, SyntheticGenConfig, generate_synthetic, save_dataset
 from aqnn.cli import main
 
 
@@ -85,6 +87,34 @@ class TestQueryCommand:
         assert code == 3
         assert "pilot contains no true neighbors" in err
 
+    def test_non_finite_data_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"feature_dim": 2, "embedding_dim": 2}\n'
+            '{"attr": 1.0, "features": [1, 0], "oracle_emb": [1, 0], "proxy_emb": [NaN, 0]}\n'
+            '{"attr": 2.0, "features": [0, 1], "oracle_emb": [0, 1], "proxy_emb": [Infinity, 0]}\n'
+        )
+        code, _, err = run_cli(
+            capsys, "query", "--data", str(path), "--q-id", "0", "--s", "2", "--sp", "1"
+        )
+        assert code == 2
+        assert "not finite" in err
+
+    def test_cosine_zero_row_is_data_error(self, tmp_path, capsys):
+        ds = generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5))
+        emb = ds.oracle_emb.copy()
+        emb[5] = 0.0
+        path = tmp_path / "zero.jsonl"
+        save_dataset(
+            Dataset(ds.attrs, emb, emb, emb, attr_bounds=ds.attr_bounds), str(path)
+        )
+        code, _, err = run_cli(
+            capsys, "query", "--data", str(path), "--metric", "cosine", "--radius", "0.3",
+            "--s", "300", "--sp", "100",
+        )
+        assert code == 2
+        assert "zero vectors" in err
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "query", "--frobnicate", "1")
         assert code == 1
@@ -127,6 +157,45 @@ class TestBenchCommand:
         assert len(payload["cells"]) == 2
         header = rows.read_text().splitlines()[0]
         assert "re_avg" in header and "wall_time_s" in header
+
+    SWEEP_ARGV = [
+        "--seed", "7", "bench", "--n", "2000", "--proxy-noise", "0.4", "--agg", "PCT",
+        "--algorithms", "sprint_c", "--s", "300", "--sp", "100", "--trials", "2",
+        "--sweep", "radius", "--grid", "5,6", "--json",
+    ]
+
+    def test_sweep_json_byte_identical_without_timings(self, capsys):
+        code1, out1, _ = run_cli(capsys, *self.SWEEP_ARGV)
+        code2, out2, _ = run_cli(capsys, *self.SWEEP_ARGV)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert "mean_wall_time_s" not in out1
+        code3, out3, _ = run_cli(capsys, *self.SWEEP_ARGV, "--timings")
+        assert code3 == 0
+        assert all("mean_wall_time_s" in e for e in json.loads(out3)["sweep"])
+
+    def test_bad_sweep_value_fails_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        import aqnn.harness
+
+        path = tmp_path / "pop.jsonl"
+        save_dataset(generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5)), str(path))
+        passes = []
+        monkeypatch.setattr(aqnn.harness, "_run_single", lambda *a, **k: passes.append(a))
+        code, _, err = run_cli(
+            capsys, "bench", "--data", str(path), "--sweep", "sample_size",
+            "--grid", "100,200,400", "--s", "100", "--sp", "50",
+        )
+        assert code == 1
+        assert "sample_size sweep value 400: sample size 400 exceeds population 300" in err
+        assert passes == []
+
+    def test_algorithms_help_lists_every_algorithm(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for name in ("sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:<t>", "top_k",
+                     "brute_force"):
+            assert name in out
 
     def test_sweep_needs_grid(self, capsys):
         code, _, err = run_cli(

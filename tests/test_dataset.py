@@ -7,7 +7,6 @@ from aqnn import (
     DataError,
     Dataset,
     SyntheticGenConfig,
-    attribute_bounds,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -164,11 +163,11 @@ class TestAttributeBounds:
         ds = generate_synthetic(
             SyntheticGenConfig(n_objects=30, attr_bounds=(50.0, 120.0), seed=0)
         )
-        assert attribute_bounds(ds) == (50.0, 120.0)
+        assert ds.attr_bounds == (50.0, 120.0)
 
     def test_single_object_auto_bounds(self):
         ds = Dataset(attrs=np.array([7.0]), features=np.zeros((1, 2)))
-        assert attribute_bounds(ds) == (7.0, 7.0)
+        assert ds.attr_bounds == (7.0, 7.0)
 
     def test_generated_bounds_pass_through(self):
         ds = generate_synthetic(
@@ -177,7 +176,7 @@ class TestAttributeBounds:
                 attr_bounds=(0.0, 5.0), seed=0,
             )
         )
-        assert attribute_bounds(ds) == (0.0, 5.0)
+        assert ds.attr_bounds == (0.0, 5.0)
 
 
 class TestDatasetInvariants:
@@ -197,6 +196,29 @@ class TestDatasetInvariants:
                 oracle_emb=np.zeros((1, 3)),
                 proxy_emb=np.zeros((1, 4)),
             )
+
+    @pytest.mark.parametrize("name", ["attrs", "features", "oracle_emb", "proxy_emb"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, name, bad):
+        arrays = {
+            "attrs": np.full(4, 60.0),
+            "features": np.ones((4, 2)),
+            "oracle_emb": np.ones((4, 2)),
+            "proxy_emb": np.ones((4, 2)),
+        }
+        arrays[name][2] = bad  # the whole row for matrices, one value for attrs
+        with pytest.raises(DataError, match=f"{name} row 2 is not finite"):
+            Dataset(**arrays, attr_bounds=(50.0, 120.0))
+
+    def test_non_finite_json_literals_rejected_on_load(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"feature_dim": 2, "embedding_dim": 2}\n'
+            '{"attr": 1.0, "features": [1, 0], "oracle_emb": [1, 0], "proxy_emb": [NaN, 0]}\n'
+            '{"attr": 2.0, "features": [0, 1], "oracle_emb": [0, 1], "proxy_emb": [Infinity, 0]}\n'
+        )
+        with pytest.raises(DataError, match="proxy_emb row 0 is not finite"):
+            load_dataset(str(path))
 
     def test_arrays_frozen(self, clean_ds):
         with pytest.raises(ValueError):

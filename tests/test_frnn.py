@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqnn import (
+    DataError,
     NeighborSet,
     PrecisionTargetConfig,
     dist,
@@ -13,6 +14,7 @@ from aqnn import (
     prf1,
     top_k_baseline,
 )
+from aqnn.frnn import distances_from
 
 
 class TestDist:
@@ -34,8 +36,14 @@ class TestDist:
             dist("euclidean", [1.0], [1.0, 2.0])
 
     def test_cosine_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(DataError, match="zero"):
             dist("cosine", [0.0, 0.0], [1.0, 0.0])
+
+    def test_cosine_zero_row_is_data_error(self):
+        with pytest.raises(DataError, match="zero"):
+            distances_from("cosine", [1.0, 0.0], np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DataError, match="zero"):
+            distances_from("cosine", [0.0, 0.0], np.array([[1.0, 1.0]]))
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -158,6 +158,42 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [e["value"] for e in report.sweep] == [150.0, 300.0]
 
+    @pytest.mark.parametrize(
+        "axis,grid,message",
+        [
+            ("sample_size", (100, 900), "sample size 900 exceeds population 800"),
+            ("sample_size", (50, 100), "pilot size cannot exceed sample size"),
+            ("pilot_size", (100, 250), "pilot size cannot exceed sample size"),
+            ("dataset_size", (150, 800), "sample size 200 exceeds population 150"),
+        ],
+    )
+    def test_bad_sweep_value_rejected_before_any_pass(self, small_ds, monkeypatch,
+                                                       axis, grid, message):
+        import aqnn.harness
+
+        passes = []
+        monkeypatch.setattr(aqnn.harness, "_run_single", lambda *a, **k: passes.append(a))
+        gen = SyntheticGenConfig(n_objects=800, embedding_dim=8, n_clusters=4, seed=31)
+        cfg = small_config(
+            None if axis == "dataset_size" else small_ds,
+            gen_config=gen,
+            sweep=SweepSpec(axis=axis, grid=grid),
+        )
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+        assert passes == []
+
+    def test_top_k_without_true_neighbor_notes_k_zero(self, small_ds):
+        # a radius this small leaves only the target itself as a true neighbor
+        report = run_experiment(
+            small_config(small_ds, r=1e-9, aggs=["PCT"], algorithms=["top_k"], trials=6)
+        )
+        empty = [c for c in report.cells if c.selected == 0]
+        assert empty, "some sample should miss the target"
+        for cell in empty:
+            assert cell.note == "K=0"
+            assert (cell.oracle_calls, cell.proxy_calls) == (200 + 1, 1)
+
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepSpec(axis="radius", grid=(2.0, 2.0))

@@ -36,17 +36,14 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
         sample_ids if sample_ids is not None else sorted(proxy_dist), dtype=np.int64
     )
     truth = NeighborSet(frozenset(truth_ids), "oracle", "exact_frnn", r)
-    oracle_d = {
-        int(i): (r / 2.0 if i in truth.member_ids else 2.0 * r) for i in pilot_ids
-    }
     return SelectionContext(
         sample_ids=sample_ids,
         pilot_ids=pilot_ids,
         proxy_dist={int(k): float(v) for k, v in proxy_dist.items()},
-        pilot_oracle_dist=oracle_d,
         pilot_truth=truth,
         r=float(r),
         delta=delta,
+        ledger=CallLedger(),
     )
 
 
