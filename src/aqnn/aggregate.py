@@ -46,7 +46,7 @@ def aggregate(agg: str, values, neighbor_count: int, ctx: AggregationContext) ->
     """
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}")
-    vals = np.asarray(list(values), dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
     if neighbor_count != vals.size:
         raise ValueError(f"neighbor_count={neighbor_count} but |values|={vals.size}")
 

@@ -150,9 +150,9 @@ def _cmd_query(args) -> int:
     query = QuerySpec(q_id=q_id, r=args.radius, agg=args.agg, metric=args.metric)
     res = select_neighbors(query, cfg, ds, *_models(args))
 
-    members = sorted(res.neighbors.member_ids)
+    members = res.neighbors.member_ids
     est_ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
-    estimate = aggregate(args.agg, ds.attrs[members] if members else [], len(members), est_ctx)
+    estimate = aggregate(args.agg, ds.attrs[members], len(members), est_ctx)
 
     payload = {
         "query_id": int(q_id),

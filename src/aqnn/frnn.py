@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -72,20 +71,17 @@ def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborSet:
     """A selected id-set tagged with the space and method that produced it."""
 
-    member_ids: frozenset[int]
+    member_ids: np.ndarray  # sorted int64 array of distinct ids
     space: str  # "oracle" | "proxy" | "mixed"
     method: str
     threshold_used: float | None = None
 
     def __len__(self) -> int:
-        return len(self.member_ids)
-
-    def __contains__(self, obj_id: int) -> bool:
-        return obj_id in self.member_ids
+        return int(self.member_ids.size)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class PrecisionTargetConfig:
 
 
 def exact_frnn(
-    universe_ids: Iterable[int],
+    universe_ids,
     embeddings: np.ndarray,
     q_emb,
     r: float,
@@ -115,7 +111,7 @@ def exact_frnn(
     Boundary points (distance exactly r) are included. ``embeddings`` must
     be row-aligned with ``universe_ids`` and complete.
     """
-    ids = np.asarray(list(universe_ids), dtype=np.int64)
+    ids = np.asarray(universe_ids, dtype=np.int64)
     if embeddings is None:
         raise DataError(f"missing {space} embeddings for exact search")
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -124,114 +120,97 @@ def exact_frnn(
     if np.isnan(emb).any():
         raise DataError(f"missing {space} embedding values (NaN) in universe")
     d = distances_from(metric, q_emb, emb)
-    members = ids[d <= r]
-    return NeighborSet(
-        member_ids=frozenset(int(i) for i in members),
-        space=space,
-        method="exact_frnn",
-        threshold_used=float(r),
-    )
-
-
-def _hoeffding_lower(p_hat: float, n: int, delta: float) -> float:
-    """One-sided lower confidence bound for a mean in [0, 1], clamped at 0."""
-    return max(0.0, p_hat - math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
+    return NeighborSet(np.unique(ids[d <= r]), space, "exact_frnn", float(r))
 
 
 def pqe_pt(
-    sample_ids: Iterable[int],
-    proxy_dists: Mapping[int, float],
-    labeled_ids: Iterable[int],
+    sample_ids: np.ndarray,
+    sample_d: np.ndarray,
+    labeled_ids: np.ndarray,
+    labeled_d: np.ndarray,
     oracle_truth: NeighborSet,
     cfg: PrecisionTargetConfig,
     r: float,
 ) -> NeighborSet:
     """Precision-target selection via a calibrated proxy-distance cutoff.
 
-    ``labeled_ids`` are the candidates whose oracle neighborhood membership
-    is known (``oracle_truth``); the cutoff chosen from them is applied to
-    every id in ``sample_ids``. When no cutoff's precision bound clears the
-    target, falls back to the proxy-nearest labeled true neighbor as a
-    singleton (empty when the labeled set has no true neighbor at all).
+    ``sample_ids`` and ``labeled_ids`` are sorted arrays of distinct ids,
+    and ``sample_d`` and ``labeled_d`` their proxy distances. The labeled
+    ids are the candidates whose oracle neighborhood membership is known
+    (``oracle_truth``); the cutoff chosen from them is applied to every
+    sample id. When no cutoff's precision bound clears the target, falls
+    back to the proxy-nearest labeled true neighbor as a singleton (empty
+    when the labeled set has no true neighbor at all).
     """
-    sample_ids = list(sample_ids)
-    labeled_ids = list(labeled_ids)
-    if not sample_ids:
+    if not sample_ids.size:
         raise ValueError("empty sample")
-    if not labeled_ids:
+    if not labeled_ids.size:
         raise ValueError("empty labeled calibration set")
 
-    order = sorted(labeled_ids, key=lambda i: (proxy_dists[i], i))
-    lab_d = np.array([proxy_dists[i] for i in order], dtype=np.float64)
-    lab_true = np.array([i in oracle_truth.member_ids for i in order], dtype=bool)
+    order = np.lexsort((labeled_ids, labeled_d))
+    lab_ids = labeled_ids[order]
+    lab_d = labeled_d[order]
+    lab_true = np.isin(lab_ids, oracle_truth.member_ids)
     cum_true = np.cumsum(lab_true)
-    m = len(order)
-    total_true = int(cum_true[-1])
 
     # Candidate cutoffs keyed by the labeled prefix they admit. Prefixes end
-    # at distance-tie-group boundaries; the radius slots in as one more
-    # candidate. Equal prefixes share evidence, so keep only the largest
-    # cutoff per prefix.
-    prefix_tau: dict[int, float] = {}
-    for pos in range(m):
-        if pos == m - 1 or lab_d[pos + 1] != lab_d[pos]:
-            prefix_tau[pos + 1] = max(prefix_tau.get(pos + 1, -math.inf), float(lab_d[pos]))
-    r_prefix = int(np.searchsorted(lab_d, r, side="right"))
-    if r_prefix >= 1:
-        prefix_tau[r_prefix] = max(prefix_tau.get(r_prefix, -math.inf), float(r))
+    # at distance-tie-group boundaries; the radius is one more candidate,
+    # and where it admits the same prefix as a group end, the tie-break on
+    # the cutoff prefers it.
+    ends = np.flatnonzero(np.append(lab_d[1:] != lab_d[:-1], True))
+    sizes = np.append(ends + 1, np.searchsorted(lab_d, r, side="right"))
+    taus = np.append(lab_d[ends], r)
+    if sizes[-1] == 0:
+        sizes, taus = sizes[:-1], taus[:-1]
+    k_true = cum_true[sizes - 1]
+    p_hat = k_true / sizes
+    # One-sided Hoeffding lower bound on precision, clamped at 0.
+    lower = np.maximum(0.0, p_hat - np.sqrt(math.log(1.0 / cfg.delta) / (2.0 * sizes)))
+    ok = lower >= cfg.t
 
-    best_key = None
-    best_tau = None
-    for size, tau in prefix_tau.items():
-        k_true = int(cum_true[size - 1])
-        p_hat = k_true / size
-        if _hoeffding_lower(p_hat, size, cfg.delta) < cfg.t:
-            continue
-        recall = (k_true / total_true) if total_true > 0 else 1.0
-        key = (recall, p_hat, tau)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_tau = tau
+    if not ok.any():
+        nearest_true = lab_ids[lab_true][:1]
+        return NeighborSet(nearest_true, space="mixed", method="pqe_pt", threshold_used=None)
 
-    if best_tau is None:
-        true_positions = np.nonzero(lab_true)[0]
-        if true_positions.size:
-            nearest_true = int(order[int(true_positions[0])])
-            members = frozenset({nearest_true})
-        else:
-            members = frozenset()
-        return NeighborSet(members, space="mixed", method="pqe_pt", threshold_used=None)
-
-    members = frozenset(int(i) for i in sample_ids if proxy_dists[i] <= best_tau)
-    return NeighborSet(members, space="mixed", method="pqe_pt", threshold_used=float(best_tau))
+    # The true count orders candidates as labeled recall does.
+    k_true, p_hat, taus = k_true[ok], p_hat[ok], taus[ok]
+    best_tau = float(taus[np.lexsort((taus, p_hat, k_true))[-1]])
+    members = sample_ids[sample_d <= best_tau]
+    return NeighborSet(members, space="mixed", method="pqe_pt", threshold_used=best_tau)
 
 
-def top_k_baseline(proxy_dists: Mapping[int, float], k: int) -> NeighborSet:
-    """The k proxy-nearest ids; ties at the k-th distance go to smaller ids."""
+def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:
+    """The k ids nearest by their aligned ``dists``; ties go to smaller ids."""
     if k <= 0:
         raise ValueError("k must be positive")
-    if k > len(proxy_dists):
-        raise ValueError(f"k={k} exceeds universe size {len(proxy_dists)}")
-    order = sorted(proxy_dists, key=lambda i: (proxy_dists[i], i))
-    chosen = order[:k]
+    if k > ids.size:
+        raise ValueError(f"k={k} exceeds universe size {ids.size}")
+    chosen = np.lexsort((ids, dists))[:k]
     return NeighborSet(
-        member_ids=frozenset(int(i) for i in chosen),
+        member_ids=np.sort(ids[chosen]),
         space="proxy",
         method="top_k",
-        threshold_used=float(proxy_dists[chosen[-1]]),
+        threshold_used=float(dists[chosen[-1]]),
     )
+
+
+def _id_array(ids) -> np.ndarray:
+    """A NeighborSet's members, or any iterable of ids, as a sorted id array."""
+    if isinstance(ids, NeighborSet):
+        return ids.member_ids
+    return np.unique(np.fromiter(ids, dtype=np.int64))
 
 
 def prf1(selected, truth) -> tuple[float, float, float]:
     """Precision, recall, F1 of a selection against a truth set.
 
-    Conventions: an empty selection has precision 1 (no false positives),
-    an empty truth has recall 1, and F1 is 0 when P + R = 0.
+    Either argument is a NeighborSet or an iterable of ids. Conventions: an
+    empty selection has precision 1 (no false positives), an empty truth
+    has recall 1, and F1 is 0 when P + R = 0.
     """
-    sel = selected.member_ids if isinstance(selected, NeighborSet) else frozenset(selected)
-    tru = truth.member_ids if isinstance(truth, NeighborSet) else frozenset(truth)
-    overlap = len(sel & tru)
-    p = overlap / len(sel) if sel else 1.0
-    r = overlap / len(tru) if tru else 1.0
+    sel, tru = _id_array(selected), _id_array(truth)
+    overlap = np.intersect1d(sel, tru, assume_unique=True).size
+    p = overlap / sel.size if sel.size else 1.0
+    r = overlap / tru.size if tru.size else 1.0
     f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
     return p, r, f1

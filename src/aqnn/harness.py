@@ -113,7 +113,7 @@ class GroundTruth:
 
     def within(self, sample_ids: np.ndarray) -> NeighborSet:
         """The true neighborhood restricted to a sample; charged to no ledger."""
-        members = self.on_d.member_ids & frozenset(np.asarray(sample_ids).tolist())
+        members = np.intersect1d(self.on_d.member_ids, sample_ids, assume_unique=True)
         return replace(self.on_d, member_ids=members)
 
 
@@ -238,12 +238,11 @@ def _aggregate_all(
     aggs: Sequence[str], ds: Dataset, chosen: NeighborSet, ctx: AggregationContext
 ) -> dict[str, float | None]:
     """Each aggregation over the chosen objects; None where it is degenerate."""
-    members = sorted(chosen.member_ids)
-    values = ds.attrs[members] if members else np.empty(0)
+    values = ds.attrs[chosen.member_ids]
     out: dict[str, float | None] = {}
     for agg in aggs:
         try:
-            out[agg] = aggregate(agg, values, len(members), ctx)
+            out[agg] = aggregate(agg, values, len(chosen), ctx)
         except DegenerateNeighborhoodError:
             out[agg] = None
     return out
@@ -343,13 +342,9 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
 _FORK_STATE: dict = {}
 
 
-def _run_block_by_index(idx: int) -> list[CellResult]:
-    cfg = _FORK_STATE["cfg"]
-    ds = _FORK_STATE["ds"]
-    gts = _FORK_STATE["gts"]
-    n_trials = cfg.trials
-    qi, trial = divmod(idx, n_trials)
-    return _run_block(cfg, ds, gts, qi, trial)
+def _run_job(idx: int) -> list[CellResult]:
+    pi, qi, trial = _FORK_STATE["jobs"][idx]
+    return _run_block(*_FORK_STATE["passes"][pi], qi, trial)
 
 
 def _summarize(cfg: ExperimentConfig, ds: Dataset, cells: list[CellResult]) -> dict:
@@ -410,41 +405,18 @@ def _config_digest(cfg: ExperimentConfig, ds: Dataset) -> dict:
     }
 
 
-def _materialize_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.dataset is not None:
-        return cfg.dataset
-    return generate_synthetic(cfg.gen_config)
-
-
-def _run_single(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
-    ds = _materialize_dataset(cfg)
+def _prepare_pass(cfg: ExperimentConfig) -> tuple[Dataset, dict[int, GroundTruth]]:
+    """A pass's population and the ground truth of each of its queries."""
+    ds = cfg.dataset if cfg.dataset is not None else generate_synthetic(cfg.gen_config)
     gts: dict[int, GroundTruth] = {}
     for q in cfg.query_ids:
         query = QuerySpec(q_id=int(q), r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
         gts[int(q)] = ground_truth(ds, query, cfg.oracle, cfg.aggs)
+    return ds, gts
 
-    n_blocks = len(cfg.query_ids) * cfg.trials
-    if parallel and parallel > 1:
-        import concurrent.futures
-        import multiprocessing
 
-        _FORK_STATE.update({"cfg": cfg, "ds": ds, "gts": gts})
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=parallel, mp_context=mp_ctx
-            ) as pool:
-                blocks = list(pool.map(_run_block_by_index, range(n_blocks)))
-        finally:
-            _FORK_STATE.clear()
-    else:
-        blocks = [
-            _run_block(cfg, ds, gts, qi, trial)
-            for qi in range(len(cfg.query_ids))
-            for trial in range(cfg.trials)
-        ]
-    cells = [cell for block in blocks for cell in block]
-
+def _pass_report(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
+                 cells: list[CellResult]) -> MetricsReport:
     gt_payload = {
         str(q): {
             "agg": gts[int(q)].agg_values,
@@ -491,35 +463,64 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
     Sweeps hold the root seed fixed across passes so only the swept factor
     changes. Per-radius sweeps report the achieved neighborhood density so
     instability at sparse radii stays attributable.
+
+    Passes are prepared first; then each (query, trial) block runs on every
+    pass in turn, so host speed drift reaches all passes alike. Cells are
+    seeded by (query, trial) alone, so this order changes no output.
     """
     if cfg.sweep is None:
-        return _run_single(cfg, parallel)
+        subs = [cfg]
+    else:  # vary every grid value first so a bad one fails before any pass runs
+        subs = [_vary(cfg, cfg.sweep.axis, value) for value in cfg.sweep.grid]
+    passes = [(sub, *_prepare_pass(sub)) for sub in subs]
+    jobs = [
+        (pi, qi, trial)
+        for qi in range(len(cfg.query_ids))
+        for trial in range(cfg.trials)
+        for pi in range(len(passes))
+    ]
+    if parallel and parallel > 1:
+        import concurrent.futures
+        import multiprocessing
 
-    # Vary every grid value first so a bad one fails before any pass runs.
-    subs = [_vary(cfg, cfg.sweep.axis, value) for value in cfg.sweep.grid]
-    passes = []
-    for value, sub in zip(cfg.sweep.grid, subs):
-        report = _run_single(sub, parallel)
+        _FORK_STATE.update({"passes": passes, "jobs": jobs})
+        try:
+            mp_ctx = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=parallel, mp_context=mp_ctx
+            ) as pool:
+                blocks = list(pool.map(_run_job, range(len(jobs))))
+        finally:
+            _FORK_STATE.clear()
+    else:
+        blocks = [_run_block(*passes[pi], qi, trial) for pi, qi, trial in jobs]
+
+    n = len(passes)  # jobs cycle through the passes, so pass pi owns every n-th block
+    reports = [_pass_report(*p, [c for b in blocks[pi::n] for c in b])
+               for pi, p in enumerate(passes)]
+    if cfg.sweep is None:
+        return reports[0]
+
+    entries = []
+    for value, report in zip(cfg.sweep.grid, reports):
         for cell in report.cells:
             cell.sweep_value = float(value)
-        entry = {
+        entries.append({
             "value": float(value),
             "summary": report.summary,
             "density": {
                 q: report.ground_truth[q]["density"] for q in report.ground_truth
             },
             "mean_wall_time_s": float(np.mean([c.wall_time_s for c in report.cells])),
-        }
-        passes.append((entry, report))
-
-    base = passes[0][1]
+        })
+    base = reports[0]
     return MetricsReport(
         seed=cfg.seed,
         config=dict(base.config, sweep_axis=cfg.sweep.axis, sweep_grid=list(cfg.sweep.grid)),
         ground_truth=base.ground_truth,
-        cells=[c for _, rep in passes for c in rep.cells],
+        cells=[c for report in reports for c in report.cells],
         summary=base.summary,
-        sweep=[entry for entry, _ in passes],
+        sweep=entries,
     )
 
 
@@ -591,6 +592,7 @@ def coverage_check(
     s_p = min(out.s_p_min, s)
 
     tolerance = omega_s + omega_nn
+    ctx = AggregationContext(s, len(ds), SCOPE_SAMPLE)
     failures = 0
     for trial in range(trials):
         cfg = SprintConfig(
@@ -601,15 +603,8 @@ def coverage_check(
         except DegenerateNeighborhoodError:
             failures += 1
             continue
-        members = sorted(res.neighbors.member_ids)
-        values = ds.attrs[list(members)] if members else np.empty(0)
-        ctx = AggregationContext(s, len(ds), SCOPE_SAMPLE)
-        try:
-            est = aggregate(query.agg, values, len(members), ctx)
-        except DegenerateNeighborhoodError:
-            failures += 1
-            continue
-        if abs(est - truth) > tolerance:
+        est = _aggregate_all([query.agg], ds, res.neighbors, ctx)[query.agg]
+        if est is None or abs(est - truth) > tolerance:
             failures += 1
     return CoverageResult(
         coverage=1.0 - failures / trials,
@@ -665,16 +660,14 @@ def run_ht_protocol(
         if truth_val is None or truth_val == 0:
             skipped += 1
             continue
-        truth_members = sorted(gt.on_d.member_ids)
-        truth_values = ds.attrs[list(truth_members)]
+        truth_values = ds.attrs[gt.on_d.member_ids]
 
         # One selection per (query, trial), reused across factors and ops.
         trial_selections = []
         for trial in range(k_samples):
             cfg_trial = replace(sprint_cfg, seed=derive_seed(seed, "ht", qi, trial))
             res = select_neighbors(query, cfg_trial, ds, oracle, proxy)
-            members = sorted(res.neighbors.member_ids)
-            trial_selections.append(members)
+            trial_selections.append(res.neighbors.member_ids)
 
         for factor in factors:
             c = factor * truth_val
@@ -686,7 +679,7 @@ def run_ht_protocol(
                     else:
                         h = Hypothesis(agg="PCT", op=op, c=c, alpha=alpha)
                         truth_decision = z_test_proportion(
-                            len(truth_members) / len(ds), len(ds), h
+                            len(gt.on_d) / len(ds), len(ds), h
                         ).reject_null
                 except ValueError as exc:
                     per_cell.append(
@@ -700,7 +693,7 @@ def run_ht_protocol(
                 for members in trial_selections:
                     try:
                         if agg == "AVG":
-                            d = t_test_one_sample(ds.attrs[list(members)], h).reject_null
+                            d = t_test_one_sample(ds.attrs[members], h).reject_null
                         else:
                             d = z_test_proportion(
                                 len(members) / sprint_cfg.s, sprint_cfg.s, h

@@ -34,22 +34,22 @@ class CallLedger:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._charged: set[tuple[str, int]] = set()
+        self._charged: dict[str, set[int]] = {"oracle": set(), "proxy": set()}
         self.oracle_calls = 0
         self.proxy_calls = 0
 
-    def charge(self, role: str, obj_id: int) -> bool:
-        """Charge one call unless (role, obj_id) was already charged."""
-        key = (role, int(obj_id))
+    def charge(self, role: str, ids) -> int:
+        """Charge one call per id in ``ids`` (one id or an array) not yet
+        charged for ``role``; returns the number of calls charged."""
+        new = set(np.asarray(ids, dtype=np.int64).ravel().tolist())
         with self._lock:
-            if key in self._charged:
-                return False
-            self._charged.add(key)
+            new -= self._charged[role]
+            self._charged[role] |= new
             if role == "oracle":
-                self.oracle_calls += 1
+                self.oracle_calls += len(new)
             else:
-                self.proxy_calls += 1
-            return True
+                self.proxy_calls += len(new)
+        return len(new)
 
     def as_dict(self) -> dict[str, int]:
         return {"oracle_calls": self.oracle_calls, "proxy_calls": self.proxy_calls}
@@ -128,8 +128,7 @@ def embed_many(
     object: every id is charged through the ledger's memo table.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    for oid in ids:
-        ledger.charge(model.role, int(oid))
+    ledger.charge(model.role, ids)
     if model.source == "stored":
         matrix = ds.oracle_emb if model.role == "oracle" else ds.proxy_emb
         if matrix is None:

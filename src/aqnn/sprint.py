@@ -176,24 +176,25 @@ def oracle_scan(
 def _proxy_distances(
     ds: Dataset, query: DataObject, ids: np.ndarray, metric: str,
     proxy: EmbeddingModel, ledger: CallLedger,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Proxy distance from the query to each id, charging the proxy calls."""
     q_emb = proxy.embed(query, ledger)
-    d = distances_from(metric, q_emb, embed_many(proxy, ds, ids, ledger))
-    return dict(zip(ids.tolist(), d.tolist()))
+    return distances_from(metric, q_emb, embed_many(proxy, ds, ids, ledger))
 
 
 @dataclass(frozen=True)
 class SelectionContext:
     """Precomputed state one query's selection algorithms share.
 
-    Proxy distances cover the whole sample; oracle labels only the pilot.
-    ``pilot_truth`` is the oracle neighborhood within the pilot.
+    Sorted sample and pilot id arrays, the pilot within the sample, with
+    aligned proxy distances; ``pilot_truth`` is the oracle neighborhood
+    within the pilot, the only ids the oracle labels.
     """
 
     sample_ids: np.ndarray
+    sample_d: np.ndarray
     pilot_ids: np.ndarray
-    proxy_dist: dict[int, float]
+    pilot_d: np.ndarray
     pilot_truth: NeighborSet
     r: float
     delta: float
@@ -215,32 +216,38 @@ class SelectionContext:
     ) -> "SelectionContext":
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         pilot_ids = np.asarray(pilot_ids, dtype=np.int64)
+        sample_d = _proxy_distances(ds, query, sample_ids, metric, proxy, ledger)
+        at = np.minimum(np.searchsorted(sample_ids, pilot_ids), sample_ids.size - 1)
+        if not np.array_equal(sample_ids[at], pilot_ids):
+            raise ValueError("pilot ids must lie in the sorted sample ids")
         return cls(
             sample_ids=sample_ids,
+            sample_d=sample_d,
             pilot_ids=pilot_ids,
-            proxy_dist=_proxy_distances(ds, query, sample_ids, metric, proxy, ledger),
+            pilot_d=sample_d[at],
             pilot_truth=oracle_scan(ds, query, pilot_ids, r, metric, oracle, ledger),
             r=float(r),
             delta=float(delta),
             ledger=ledger,
         )
 
-    def _select(self, ids: np.ndarray, t: float) -> NeighborSet:
+    def _select(self, ids: np.ndarray, d: np.ndarray, t: float) -> NeighborSet:
         """Apply the cutoff calibrated on the pilot at target t to ``ids``."""
         return pqe_pt(
             ids,
-            self.proxy_dist,
+            d,
             self.pilot_ids,
+            self.pilot_d,
             self.pilot_truth,
             PrecisionTargetConfig(t=t, delta=self.delta),
             self.r,
         )
 
     def pilot_prf1(self, t: float) -> tuple[float, float, float]:
-        return prf1(self._select(self.pilot_ids, t), self.pilot_truth)
+        return prf1(self._select(self.pilot_ids, self.pilot_d, t), self.pilot_truth)
 
     def select_on_sample(self, t: float, method: str) -> NeighborSet:
-        return replace(self._select(self.sample_ids, t), method=method)
+        return replace(self._select(self.sample_ids, self.sample_d, t), method=method)
 
     def result(
         self, t_star: float, method: str, iterations: int = 0, probes: int = 0
@@ -257,7 +264,7 @@ class SelectionContext:
         )
 
     def require_pilot_truth(self) -> None:
-        if not self.pilot_truth.member_ids:
+        if not len(self.pilot_truth):
             raise DegenerateNeighborhoodError(_NO_PILOT_TRUE_MSG)
 
 
@@ -362,10 +369,10 @@ def select(
         k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, oracle, ledger))
         if k:
             dists = _proxy_distances(ds, q_obj, sample_ids, query.metric, proxy, ledger)
-            chosen = top_k_baseline(dists, k)
+            chosen = top_k_baseline(sample_ids, dists, k)
         else:  # nothing to rank; only the target's proxy call is spent
             proxy.embed(q_obj, ledger)
-            chosen = NeighborSet(frozenset(), "proxy", "top_k")
+            chosen = NeighborSet(np.empty(0, dtype=np.int64), "proxy", "top_k")
         return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, 0, ledger)
 
     ctx = SelectionContext.build(

@@ -95,7 +95,7 @@ def test_criterion_03_zero_noise_equivalence():
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
         for out in (sprint_v(ctx, 0.01), sprint_c(ctx, 0.01), two_phase(ctx, 0.01, 0.01)):
             total += 1
-            same = out.neighbors.member_ids == truth.member_ids
+            same = np.array_equal(out.neighbors.member_ids, truth.member_ids)
             f1 = prf1(out.neighbors, truth)[2]
             exact += same and f1 == 1.0
     assert exact == total == 300

@@ -180,7 +180,7 @@ class TestBenchCommand:
         path = tmp_path / "pop.jsonl"
         save_dataset(generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5)), str(path))
         passes = []
-        monkeypatch.setattr(aqnn.harness, "_run_single", lambda *a, **k: passes.append(a))
+        monkeypatch.setattr(aqnn.harness, "_prepare_pass", lambda *a, **k: passes.append(a))
         code, _, err = run_cli(
             capsys, "bench", "--data", str(path), "--sweep", "sample_size",
             "--grid", "100,200,400", "--s", "100", "--sp", "50",

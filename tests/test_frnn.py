@@ -53,16 +53,17 @@ class TestDist:
 class TestExactFrnn:
     def test_radius_zero_exact_matches_only(self, tiny_ds):
         res = exact_frnn(tiny_ds.ids, tiny_ds.oracle_emb, [0.0, 0.0], 0.0)
-        assert res.member_ids == {0}
+        assert np.array_equal(res.member_ids, [0])
 
     def test_huge_radius_returns_universe(self, tiny_ds):
         res = exact_frnn(tiny_ds.ids, tiny_ds.oracle_emb, [0.0, 0.0], 1e9)
-        assert res.member_ids == set(range(len(tiny_ds)))
+        assert np.array_equal(res.member_ids, np.arange(len(tiny_ds)))
+        assert res.member_ids.dtype == np.int64
 
     def test_boundary_included(self, tiny_ds):
         # object 5 sits at exactly distance 5 from the origin
         res = exact_frnn(tiny_ds.ids, tiny_ds.oracle_emb, [0.0, 0.0], 5.0)
-        assert 5 in res.member_ids
+        assert 5 in res.member_ids.tolist()
 
     def test_six_point_neighborhood(self):
         # a layout with exactly six points within the unit radius of q
@@ -77,7 +78,7 @@ class TestExactFrnn:
         q = clean_ds.oracle_emb[11]
         small = exact_frnn(clean_ds.ids, clean_ds.oracle_emb, q, 3.0)
         large = exact_frnn(clean_ds.ids, clean_ds.oracle_emb, q, 6.0)
-        assert small.member_ids <= large.member_ids
+        assert np.isin(small.member_ids, large.member_ids).all()
 
 
 def pqe_pt_bruteforce(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):
@@ -116,6 +117,19 @@ def pqe_pt_bruteforce(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta,
     return (frozenset(i for i in sample_ids if proxy_dists[i] <= tau), tau)
 
 
+def ids_of(members):
+    return np.array(sorted(members), dtype=np.int64)
+
+
+def run_pqe_pt(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):
+    """pqe_pt on the dict inputs of the reference, as sorted id arrays."""
+    sample, labeled = ids_of(sample_ids), ids_of(labeled_ids)
+    sample_d = np.array([proxy_dists[i] for i in sample.tolist()], dtype=np.float64)
+    labeled_d = np.array([proxy_dists[i] for i in labeled.tolist()], dtype=np.float64)
+    truth = NeighborSet(ids_of(truth_ids), "oracle", "exact_frnn", r)
+    return pqe_pt(sample, sample_d, labeled, labeled_d, truth, PrecisionTargetConfig(t, delta), r)
+
+
 class TestPqePt:
     def _clean_instance(self):
         # zero noise: proxy distance identical to oracle distance; enough
@@ -130,45 +144,40 @@ class TestPqePt:
 
     def test_zero_noise_equals_exact_frnn(self):
         ids, proxy, truth, r = self._clean_instance()
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", r)
         # targets up to the certifiable ceiling 1 - sqrt(ln(1/delta)/(2 n_true))
         ceiling = 1.0 - math.sqrt(math.log(1 / 0.05) / (2 * len(truth)))
         assert ceiling > 0.8
         for t in (0.0, 0.3, 0.6, 0.8, ceiling):
-            res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t=t), r)
-            assert res.member_ids == truth
+            res = run_pqe_pt(ids, proxy, ids, truth, t, 0.05, r)
+            assert np.array_equal(res.member_ids, ids_of(truth))
             assert res.threshold_used == pytest.approx(r)
 
     def test_zero_noise_subset_property_any_target(self):
         ids, proxy, truth, r = self._clean_instance()
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", r)
         for t in np.linspace(0.0, 1.0, 21):
-            res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t=float(t)), r)
-            assert res.member_ids <= truth
+            res = run_pqe_pt(ids, proxy, ids, truth, float(t), 0.05, r)
+            assert set(res.member_ids.tolist()) <= truth
 
     def test_vacuous_target_picks_maximal_supported_cutoff(self):
         # with t = 0 every cutoff qualifies; the winner still ends on a true
         # neighbor, which at zero noise admits the full true set
         ids, proxy, truth, r = self._clean_instance()
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", r)
-        res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t=0.0), r)
-        assert res.member_ids == truth
+        res = run_pqe_pt(ids, proxy, ids, truth, 0.0, 0.05, r)
+        assert np.array_equal(res.member_ids, ids_of(truth))
 
     def test_fallback_singleton_nearest_true(self):
         # tiny labeled set: no cutoff can certify a 0.99 target
         ids = [0, 1, 2, 3]
         proxy = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-        truth_set = NeighborSet(frozenset({1, 2}), "oracle", "exact_frnn", 10.0)
-        res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t=0.99), 10.0)
-        assert res.member_ids == {1}
+        res = run_pqe_pt(ids, proxy, ids, {1, 2}, 0.99, 0.05, 10.0)
+        assert np.array_equal(res.member_ids, [1])
         assert res.threshold_used is None
 
     def test_fallback_empty_without_true_neighbors(self):
         ids = [0, 1]
         proxy = {0: 1.0, 1: 2.0}
-        truth_set = NeighborSet(frozenset(), "oracle", "exact_frnn", 0.5)
-        res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t=0.9), 0.5)
-        assert res.member_ids == frozenset()
+        res = run_pqe_pt(ids, proxy, ids, set(), 0.9, 0.05, 0.5)
+        assert res.member_ids.size == 0
 
     def test_crafted_misranked_matches_bruteforce(self):
         # ten labeled points, two proxy-misranked (true neighbors pushed
@@ -177,13 +186,12 @@ class TestPqePt:
         proxy = {0: 0.5, 1: 1.0, 2: 1.5, 3: 2.0, 4: 2.5,
                  5: 3.0, 6: 3.5, 7: 4.0, 8: 4.5, 9: 5.0}
         truth = frozenset({0, 1, 2, 3, 5, 7})  # 4 and 6 are misranked falses
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", 2.2)
         t, delta, r = 0.8, 0.05, 2.2
         expected_set, expected_tau = pqe_pt_bruteforce(
             ids, proxy, ids, truth, t, delta, r
         )
-        res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t, delta), r)
-        assert res.member_ids == expected_set
+        res = run_pqe_pt(ids, proxy, ids, truth, t, delta, r)
+        assert np.array_equal(res.member_ids, ids_of(expected_set))
         if expected_tau is None:
             assert res.threshold_used is None
         else:
@@ -201,10 +209,37 @@ class TestPqePt:
         r = float(rng.uniform(0, 10))
         t = data.draw(st.floats(0.0, 1.0))
         delta = 0.05
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", r)
         expected_set, _ = pqe_pt_bruteforce(ids, proxy, ids, truth, t, delta, r)
-        res = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t, delta), r)
-        assert res.member_ids == expected_set
+        res = run_pqe_pt(ids, proxy, ids, truth, t, delta, r)
+        assert np.array_equal(res.member_ids, ids_of(expected_set))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_ties_radius_slot_and_unlabeled_ids_match_bruteforce(self, data):
+        # distances from a small grid repeat, so tie groups are common; the
+        # radius often equals a labeled distance; some sample ids are unlabeled
+        n = data.draw(st.integers(2, 30))
+        ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=n, max_size=n)))
+        grid = st.sampled_from([0.5 * k for k in range(5)])
+        proxy = dict(zip(ids, data.draw(st.lists(grid, min_size=n, max_size=n))))
+        labeled = data.draw(
+            st.lists(st.sampled_from(ids), min_size=1, max_size=n - 1, unique=True)
+        )
+        # labels are coin flips, or true below a cutoff with one in five flipped
+        cut = data.draw(st.one_of(st.none(), grid))
+        truth = frozenset(
+            i for i in labeled
+            if (data.draw(st.booleans()) if cut is None
+                else (proxy[i] < cut) != (data.draw(st.integers(0, 4)) == 0))
+        )
+        r = data.draw(st.one_of(st.sampled_from([proxy[i] for i in labeled]),
+                                st.floats(0.0, 2.5)))
+        t = data.draw(st.floats(0.0, 1.0))
+        delta = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+        expected_set, expected_tau = pqe_pt_bruteforce(ids, proxy, labeled, truth, t, delta, r)
+        res = run_pqe_pt(ids, proxy, labeled, truth, t, delta, r)
+        assert np.array_equal(res.member_ids, ids_of(expected_set))
+        assert res.threshold_used == expected_tau
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -215,13 +250,12 @@ class TestPqePt:
         proxy = {i: float(d) for i, d in enumerate(rng.uniform(0, 10, size=n))}
         truth = frozenset(int(i) for i in ids if rng.random() < 0.6)
         r = float(rng.uniform(2, 8))
-        truth_set = NeighborSet(truth, "oracle", "exact_frnn", r)
         t1 = data.draw(st.floats(0.0, 1.0))
         t2 = data.draw(st.floats(0.0, 1.0))
         t1, t2 = min(t1, t2), max(t1, t2)
-        low = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t1), r)
-        high = pqe_pt(ids, proxy, ids, truth_set, PrecisionTargetConfig(t2), r)
-        assert high.member_ids <= low.member_ids
+        low = run_pqe_pt(ids, proxy, ids, truth, t1, 0.05, r)
+        high = run_pqe_pt(ids, proxy, ids, truth, t2, 0.05, r)
+        assert np.isin(high.member_ids, low.member_ids).all()
 
     def test_calibration_cutoff_applied_to_wider_sample(self):
         # labeled subset picks the cutoff; unlabeled sample ids inside it
@@ -229,44 +263,46 @@ class TestPqePt:
         sample = list(range(8))
         proxy = {0: 0.5, 1: 1.0, 2: 1.4, 3: 1.8, 4: 2.6, 5: 0.75, 6: 1.6, 7: 9.0}
         labeled = [0, 1, 2, 3, 4]
-        truth_set = NeighborSet(frozenset({0, 1, 2, 3}), "oracle", "exact_frnn", 2.0)
-        res = pqe_pt(sample, proxy, labeled, truth_set, PrecisionTargetConfig(0.2), 2.0)
+        res = run_pqe_pt(sample, proxy, labeled, {0, 1, 2, 3}, 0.2, 0.05, 2.0)
         # cutoff lands at the radius (last true labeled is at 1.8 < r=2.0)
         assert res.threshold_used == pytest.approx(2.0)
-        assert res.member_ids == {0, 1, 2, 3, 5, 6}
+        assert np.array_equal(res.member_ids, [0, 1, 2, 3, 5, 6])
 
     def test_empty_sample_rejected(self):
-        truth_set = NeighborSet(frozenset(), "oracle", "exact_frnn", 1.0)
         with pytest.raises(ValueError, match="empty sample"):
-            pqe_pt([], {}, [], truth_set, PrecisionTargetConfig(0.5), 1.0)
+            run_pqe_pt([], {}, [], set(), 0.5, 0.05, 1.0)
+
+
+def top_k_of(dists, k):
+    ids = np.array(list(dists), dtype=np.int64)
+    return top_k_baseline(ids, np.array(list(dists.values())), k).member_ids
 
 
 class TestTopK:
     def test_k_equals_universe(self):
         dists = {0: 3.0, 1: 1.0, 2: 2.0}
-        assert top_k_baseline(dists, 3).member_ids == {0, 1, 2}
+        assert np.array_equal(top_k_of(dists, 3), [0, 1, 2])
 
     def test_k_one_is_nearest(self):
         dists = {0: 3.0, 1: 1.0, 2: 2.0}
-        assert top_k_baseline(dists, 1).member_ids == {1}
+        assert np.array_equal(top_k_of(dists, 1), [1])
 
     def test_tie_at_kth_broken_by_smaller_id(self):
         dists = {0: 1.0, 5: 2.0, 3: 2.0, 7: 2.0}
-        assert top_k_baseline(dists, 2).member_ids == {0, 3}
+        assert np.array_equal(top_k_of(dists, 2), [0, 3])
 
     def test_k_exceeds_universe(self):
         with pytest.raises(ValueError, match="exceeds universe"):
-            top_k_baseline({0: 1.0}, 2)
+            top_k_of({0: 1.0}, 2)
 
     def test_zero_noise_rank_preservation(self, clean_ds):
         q = clean_ds.oracle_emb[3]
         on = exact_frnn(clean_ds.ids, clean_ds.oracle_emb, q, 6.0)
         d = np.linalg.norm(clean_ds.proxy_emb - q, axis=1)
-        dists = {int(i): float(x) for i, x in enumerate(d)}
         k = len(on)
         ordered = np.sort(d)
         assert ordered[k - 1] < ordered[k]  # distinct k-th and (k+1)-th
-        assert top_k_baseline(dists, k).member_ids == on.member_ids
+        assert np.array_equal(top_k_baseline(clean_ds.ids, d, k).member_ids, on.member_ids)
 
 
 class TestPrf1:

@@ -111,6 +111,14 @@ class TestRunExperiment:
         parallel = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=2)
         assert serial.to_json() == parallel.to_json()
 
+    def test_parallel_sweep_matches_serial(self, small_noisy_ds):
+        # every pass's blocks share one pool; the interleaved order moves no byte
+        cfg_kw = dict(algorithms=["sprint_v", "top_k"], trials=2,
+                      sweep=SweepSpec(axis="radius", grid=(4.0, 5.0, 6.0)))
+        serial = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=0)
+        parallel = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=2)
+        assert serial.to_json() == parallel.to_json()
+
     def test_algorithms_share_trial_samples(self, small_noisy_ds):
         # paired trials: oracle+proxy call counts line up per (query, trial)
         report = run_experiment(
@@ -172,7 +180,7 @@ class TestRunExperiment:
         import aqnn.harness
 
         passes = []
-        monkeypatch.setattr(aqnn.harness, "_run_single", lambda *a, **k: passes.append(a))
+        monkeypatch.setattr(aqnn.harness, "_prepare_pass", lambda *a, **k: passes.append(a))
         gen = SyntheticGenConfig(n_objects=800, embedding_dim=8, n_clusters=4, seed=31)
         cfg = small_config(
             None if axis == "dataset_size" else small_ds,

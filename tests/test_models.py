@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from aqnn import CallLedger, DataError, embed_many, oracle_model, proxy_model, speedup
 from aqnn.models import EmbeddingModel
+from aqnn.sprint import resolve_query_object
 
 
 class TestEmbedAccounting:
@@ -25,13 +26,23 @@ class TestEmbedAccounting:
         assert ledger.oracle_calls == 0
 
     def test_embed_many_matches_per_object(self, tiny_ds, models):
-        oracle, _ = models
-        l1, l2 = CallLedger(), CallLedger()
-        ids = np.array([1, 3, 5])
-        bulk = embed_many(oracle, tiny_ds, ids, l1)
-        single = np.vstack([oracle.embed(tiny_ds.object(i), l2) for i in ids])
-        assert np.array_equal(bulk, single)
-        assert l1.as_dict() == l2.as_dict()
+        # ids repeated within and across batches, and the external-query
+        # pseudo-id -1 beside the last row, charge as the per-object loop does
+        last = len(tiny_ds) - 1
+        batches = [np.array([1, 3, 5]), np.array([3, 3, last, 1]), np.array([1, 3, 5])]
+        external = resolve_query_object(tiny_ds, tiny_ds.oracle_emb[0] + 0.5)
+        for model in models:
+            l1, l2 = CallLedger(), CallLedger()
+            for ids in batches:
+                bulk = embed_many(model, tiny_ds, ids, l1)
+                single = np.vstack([model.embed(tiny_ds.object(i), l2) for i in ids])
+                assert np.array_equal(bulk, single)
+                assert l1.as_dict() == l2.as_dict()
+            model.embed(external, l1)
+            model.embed(external, l2)
+            assert l1.as_dict() == l2.as_dict()
+            calls = l1.oracle_calls if model.role == "oracle" else l1.proxy_calls
+            assert calls == 5 and sum(l1.as_dict().values()) == 5
 
     def test_missing_stored_embedding_names_object(self):
         from aqnn import Dataset

@@ -35,11 +35,12 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
     sample_ids = np.asarray(
         sample_ids if sample_ids is not None else sorted(proxy_dist), dtype=np.int64
     )
-    truth = NeighborSet(frozenset(truth_ids), "oracle", "exact_frnn", r)
+    truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), "oracle", "exact_frnn", r)
     return SelectionContext(
         sample_ids=sample_ids,
+        sample_d=np.array([proxy_dist[i] for i in sample_ids.tolist()], dtype=np.float64),
         pilot_ids=pilot_ids,
-        proxy_dist={int(k): float(v) for k, v in proxy_dist.items()},
+        pilot_d=np.array([proxy_dist[i] for i in pilot_ids.tolist()], dtype=np.float64),
         pilot_truth=truth,
         r=float(r),
         delta=delta,
@@ -133,7 +134,7 @@ class TestSprintV:
         ctx, sample, _ = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1, models)
         out = sprint_v(ctx, 0.01)
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[17], 6.0)
-        assert out.neighbors.member_ids == truth.member_ids
+        assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert prf1(out.neighbors, truth)[2] == 1.0
         assert out.neighbors.method == "sprint_v"
 
@@ -157,7 +158,7 @@ class TestSprintC:
         assert out.probes == 1
         assert out.t_star == 0.5
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[8], 6.0)
-        assert out.neighbors.member_ids == truth.member_ids
+        assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert out.neighbors.method == "sprint_c"
 
     def test_iteration_cap_respected(self, clean_ds, models):
@@ -194,7 +195,8 @@ class TestTwoPhase:
         tp = two_phase(ctx, 0.01, 0.01)
         sv = sprint_v(ctx, 0.01)
         sc = sprint_c(ctx, 0.01)
-        assert tp.neighbors.member_ids == sv.neighbors.member_ids == sc.neighbors.member_ids
+        assert np.array_equal(tp.neighbors.member_ids, sv.neighbors.member_ids)
+        assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
         assert tp.neighbors.method == "two_phase"
 
     def test_refined_target_within_window(self, clean_ds, models):
@@ -209,7 +211,7 @@ class TestTwoPhase:
         ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 9, models)
         sc = sprint_c(ctx, 0.01)
         tp = two_phase(ctx, 0.01, 0.01)
-        assert tp.neighbors.member_ids == sc.neighbors.member_ids
+        assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
 
 
 class TestSelectNeighbors:
@@ -243,7 +245,7 @@ class TestSelectNeighbors:
             res = select_neighbors(
                 QuerySpec(q_id=11, r=6.0, agg=agg), cfg, noisy_ds, oracle, proxy
             )
-            assert res.neighbors.member_ids <= set(int(i) for i in res.sample_ids)
+            assert np.isin(res.neighbors.member_ids, res.sample_ids).all()
 
     def test_pilot_resize_does_not_perturb_sample(self, clean_ds, models):
         oracle, proxy = models
@@ -265,7 +267,7 @@ class TestSelectNeighbors:
         q = QuerySpec(q_id=9, r=6.0, agg="PCT")
         r1 = select_neighbors(q, cfg, noisy_ds, oracle, proxy)
         r2 = select_neighbors(q, cfg, noisy_ds, oracle, proxy)
-        assert r1.neighbors.member_ids == r2.neighbors.member_ids
+        assert np.array_equal(r1.neighbors.member_ids, r2.neighbors.member_ids)
         assert r1.t_star == r2.t_star
 
 
