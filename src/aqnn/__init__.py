@@ -28,7 +28,6 @@ from .errors import AqnnError, DataError, DegenerateNeighborhoodError, UsageErro
 from .frnn import (
     NeighborSet,
     PrecisionTargetConfig,
-    dist,
     exact_frnn,
     pqe_pt,
     prf1,
@@ -74,7 +73,6 @@ __all__ = [
     "TestDecision",
     "UsageError",
     "aggregate",
-    "dist",
     "draw_pilot",
     "draw_sample",
     "embed_many",

@@ -21,6 +21,7 @@ from .bounds import BoundsInput, min_sizes_count, min_sizes_sum, min_sizes_value
 from .dataset import SyntheticGenConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import DataError, DegenerateNeighborhoodError, UsageError
 from .harness import (
+    DEFAULT_COST_RATIO,
     ExperimentConfig,
     SweepSpec,
     ground_truth,
@@ -100,13 +101,14 @@ def _load_or_generate(args, seed: int):
     return generate_synthetic(_gen_config(args, seed))
 
 
-def _resolve_queries(spec: str, ds, seed: int) -> list[int]:
+def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
+    """Query targets from ``spec``; ``random:k`` draws k distinct ids below ``n``."""
     if spec.startswith("random:"):
         k = int(spec.split(":", 1)[1])
         if k < 1:
             raise UsageError("random:<k> needs k >= 1")
         rng = spawn_rng(seed, "query-targets")
-        return [int(i) for i in rng.choice(len(ds), size=min(k, len(ds)), replace=False)]
+        return [int(i) for i in rng.choice(n, size=min(k, n), replace=False)]
     try:
         ids = [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
@@ -114,10 +116,6 @@ def _resolve_queries(spec: str, ds, seed: int) -> list[int]:
     if not ids:
         raise UsageError("empty query list")
     return ids
-
-
-def _models(args):
-    return oracle_model(cost_weight=getattr(args, "cost_ratio", 2.0)), proxy_model()
 
 
 def _cmd_gen(args) -> int:
@@ -148,7 +146,7 @@ def _cmd_query(args) -> int:
     if q_id is None:
         q_id = int(spawn_rng(seed, "query-targets").integers(0, len(ds)))
     query = QuerySpec(q_id=q_id, r=args.radius, agg=args.agg, metric=args.metric)
-    res = select_neighbors(query, cfg, ds, *_models(args))
+    res = select_neighbors(query, cfg, ds, oracle_model(), proxy_model())
 
     members = res.neighbors.member_ids
     est_ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
@@ -237,16 +235,18 @@ def _parse_grid(raw: str) -> tuple:
 
 def _cmd_bench(args) -> int:
     seed = _seed_from(args)
-    ds = _load_or_generate(args, seed)
-    queries = _resolve_queries(args.queries, ds, seed)
     sweep = None
     if args.sweep is not None:
         if args.grid is None:
             raise UsageError("--sweep needs --grid")
         sweep = SweepSpec(axis=args.sweep, grid=_parse_grid(args.grid))
+    # dataset_size passes generate their own populations; random targets come from the smallest
+    ds = None if args.sweep == "dataset_size" else _load_or_generate(args, seed)
+    n = len(ds) if ds is not None else min(args.n, int(sweep.grid[0]))
+    queries = _resolve_queries(args.queries, n, seed)
     try:
         cfg = ExperimentConfig(
-            dataset=ds if args.sweep != "dataset_size" else None,
+            dataset=ds,
             query_ids=queries,
             r=args.radius,
             aggs=[a.strip().upper() for a in args.agg.split(",") if a.strip()],
@@ -255,6 +255,7 @@ def _cmd_bench(args) -> int:
             trials=args.trials,
             seed=seed,
             metric=args.metric,
+            cost_ratio=args.cost_ratio,
             sweep=sweep,
             gen_config=_gen_config(args, seed) if args.data is None else None,
         )
@@ -282,7 +283,7 @@ def _cmd_bench(args) -> int:
 def _cmd_ht(args) -> int:
     seed = _seed_from(args)
     ds = _load_or_generate(args, seed)
-    queries = _resolve_queries(args.queries, ds, seed)
+    queries = _resolve_queries(args.queries, len(ds), seed)
     lo, hi, step = args.factors
     if step <= 0 or hi < lo:
         raise UsageError("--factors needs LO HI STEP with STEP > 0 and HI >= LO")
@@ -324,8 +325,6 @@ def _add_sprint_flags(p: argparse.ArgumentParser, s_default: int, sp_default: in
     p.add_argument("--max-iters", type=int, default=30, dest="max_iters")
     p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
     p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--cost-ratio", type=float, default=2.0, dest="cost_ratio",
-                   help="oracle call cost in proxy-call units")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join("pqe_pt_fixed:<t>" if a == "pqe_pt_fixed" else a for a in ALGORITHMS),
     )
     p_bench.add_argument("--trials", type=int, default=30)
+    p_bench.add_argument("--cost-ratio", type=float, default=DEFAULT_COST_RATIO, dest="cost_ratio",
+                         help="oracle call cost in proxy-call units, for speedup")
     p_bench.add_argument("--sweep", choices=("dataset_size", "sample_size", "pilot_size", "radius"),
                          default=None)
     p_bench.add_argument("--grid", default=None, help="comma-separated sweep grid")

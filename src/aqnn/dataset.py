@@ -35,11 +35,10 @@ _WITHIN_CLUSTER_SCALE = 1.0
 
 @dataclass(frozen=True)
 class DataObject:
-    """One population member: identity, target attribute, vectors."""
+    """One population member: identity, target attribute, embeddings."""
 
     id: int
     attr_value: float
-    features: np.ndarray
     oracle_embedding: np.ndarray | None = None
     proxy_embedding: np.ndarray | None = None
 
@@ -141,7 +140,6 @@ class Dataset:
         return DataObject(
             id=i,
             attr_value=float(self.attrs[i]),
-            features=self.features[i],
             oracle_embedding=None if self.oracle_emb is None else self.oracle_emb[i],
             proxy_embedding=None if self.proxy_emb is None else self.proxy_emb[i],
         )
@@ -208,9 +206,8 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
     """Generate a population; a pure function of the config.
 
     Cluster sizes are balanced (round-robin assignment, shuffled), so the
-    designated shifted cluster is never empty. Features are the oracle
-    embedding vectors themselves: simulated models re-derive embeddings
-    from them (identity for the oracle, plus noise for a proxy).
+    designated shifted cluster is never empty. Features repeat the oracle
+    embedding vectors; the models read only the embedding columns.
     """
     n, dim, k = cfg.n_objects, cfg.embedding_dim, cfg.n_clusters
     centers_rng = spawn_rng(cfg.seed, "gen", "centers")
@@ -245,13 +242,24 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
     return ds
 
 
-def _parse_vector(record: dict, key: str, dim: int | None, line_no: int) -> np.ndarray | None:
+# JSON numbers only: ``type`` excludes bool, which ``isinstance(x, int)`` admits.
+_NUMBER = (int, float)
+
+
+def _header_dim(header: dict, key: str, minimum: int, line_no: int) -> int:
+    dim = header[key]
+    if type(dim) is not int or dim < minimum:
+        raise DataError(f"line {line_no}: {key} must be an integer >= {minimum}, got {dim!r}")
+    return dim
+
+
+def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray | None:
     if key not in record:
         return None
     vec = record[key]
-    if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
+    if not isinstance(vec, list) or not all(type(x) in _NUMBER for x in vec):
         raise DataError(f"line {line_no}: {key} must be a list of numbers")
-    if dim is not None and len(vec) != dim:
+    if len(vec) != dim:
         raise DataError(f"line {line_no}: {key} has length {len(vec)}, expected {dim}")
     return np.asarray(vec, dtype=np.float64)
 
@@ -283,15 +291,18 @@ def load_dataset(path: str) -> Dataset:
                         f"line {line_no}: header must declare feature_dim and embedding_dim"
                     )
                 header = record
+                feature_dim = _header_dim(record, "feature_dim", 1, line_no)
+                # 0 declares a file without embedding columns, as save_dataset writes it
+                embedding_dim = _header_dim(record, "embedding_dim", 0, line_no)
                 continue
 
             if "attr" not in record or "features" not in record:
                 raise DataError(f"line {line_no}: record needs 'attr' and 'features'")
-            if not isinstance(record["attr"], (int, float)):
-                raise DataError(f"line {line_no}: attr must be numeric")
-            feat = _parse_vector(record, "features", int(header["feature_dim"]), line_no)
-            o_emb = _parse_vector(record, "oracle_emb", int(header["embedding_dim"]), line_no)
-            p_emb = _parse_vector(record, "proxy_emb", int(header["embedding_dim"]), line_no)
+            if type(record["attr"]) not in _NUMBER:
+                raise DataError(f"line {line_no}: attr must be a number")
+            feat = _parse_vector(record, "features", feature_dim, line_no)
+            o_emb = _parse_vector(record, "oracle_emb", embedding_dim, line_no)
+            p_emb = _parse_vector(record, "proxy_emb", embedding_dim, line_no)
 
             if has_oracle is None:
                 has_oracle, has_proxy = o_emb is not None, p_emb is not None
@@ -315,7 +326,7 @@ def load_dataset(path: str) -> Dataset:
         if (
             not isinstance(bounds, list)
             or len(bounds) != 2
-            or not all(isinstance(x, (int, float)) for x in bounds)
+            or not all(type(x) in _NUMBER for x in bounds)
         ):
             raise DataError("header attr_bounds must be [a, b]")
         bounds = (float(bounds[0]), float(bounds[1]))

@@ -26,37 +26,16 @@ from .errors import DataError
 VALID_METRICS = ("euclidean", "cosine")
 
 
-def _as_vec(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    return arr
-
-
-def dist(metric: str, u, v) -> float:
-    """Distance between two vectors.
+def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
+    """Distances from one query vector to every row of a matrix.
 
     ``euclidean`` is the L2 norm of the difference; ``cosine`` is
-    1 - cos(u, v), in [0, 2], and requires both vectors nonzero (a zero
-    vector is bad data and raises ``DataError``).
+    1 - cos(u, v), clipped to [0, 2], and a zero vector under it is bad
+    data (``DataError``).
     """
-    u, v = _as_vec(u), _as_vec(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    if metric == "euclidean":
-        return float(np.linalg.norm(u - v))
-    if metric == "cosine":
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu == 0.0 or nv == 0.0:
-            raise DataError("cosine distance undefined for zero vectors")
-        # rounding can push the value a few ulp outside [0, 2]
-        return float(min(2.0, max(0.0, 1.0 - float(np.dot(u, v)) / (nu * nv))))
-    raise ValueError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
-
-
-def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
-    """Distances from one query vector to every row of a matrix."""
-    q = _as_vec(q_emb)
+    q = np.asarray(q_emb, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError("expected a 1-d query vector")
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != q.shape[0]:
         raise ValueError(f"matrix shape {m.shape} incompatible with query dim {q.shape[0]}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,9 @@ from .sprint import (
 from .stats import Hypothesis, ht_accuracy, t_test_one_sample, z_test_proportion
 
 SWEEP_AXES = ("dataset_size", "sample_size", "pilot_size", "radius")
+
+# One oracle call in proxy calls; conservative, observed gaps run 2-10x.
+DEFAULT_COST_RATIO = 2.0
 
 
 def parse_algorithm(spec: str) -> tuple[str, float | None]:
@@ -86,14 +89,15 @@ class ExperimentConfig:
     trials: int = 30
     seed: int = 0
     metric: str = "euclidean"
-    oracle: EmbeddingModel = field(default_factory=oracle_model)
-    proxy: EmbeddingModel = field(default_factory=proxy_model)
+    cost_ratio: float = DEFAULT_COST_RATIO
     sweep: SweepSpec | None = None
     gen_config: SyntheticGenConfig | None = None  # required for dataset_size sweeps
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not (self.cost_ratio > 0 and np.isfinite(self.cost_ratio)):
+            raise ValueError(f"cost ratio must be positive and finite, got {self.cost_ratio:g}")
         if not self.query_ids:
             raise ValueError("need at least one query target")
         if not self.aggs:
@@ -317,7 +321,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
         start = time.perf_counter()
         try:
             res = select(
-                algorithm, query, cfg.sprint, ds, cfg.oracle, cfg.proxy,
+                algorithm, query, cfg.sprint, ds, oracle_model(), proxy_model(),
                 sample_ids, pilot_ids, ledger, fixed_t,
             )
         except DegenerateNeighborhoodError as exc:
@@ -349,7 +353,6 @@ def _run_job(idx: int) -> list[CellResult]:
 
 def _summarize(cfg: ExperimentConfig, ds: Dataset, cells: list[CellResult]) -> dict:
     """Per-algorithm means and spreads; degenerate metrics excluded per field."""
-    cost_ratio = cfg.oracle.cost_weight / cfg.proxy.cost_weight
     summary: dict = {}
     for spec in cfg.algorithms:
         rows = [c for c in cells if c.algorithm == spec]
@@ -380,7 +383,7 @@ def _summarize(cfg: ExperimentConfig, ds: Dataset, cells: list[CellResult]) -> d
             len(ds),
             entry["oracle_calls_mean"],
             entry["proxy_calls_mean"],
-            cost_ratio,
+            cfg.cost_ratio,
         )
         summary[spec] = entry
     return summary
@@ -401,7 +404,7 @@ def _config_digest(cfg: ExperimentConfig, ds: Dataset) -> dict:
         "alpha": cfg.sprint.alpha,
         "max_iters": cfg.sprint.max_iters,
         "trials": cfg.trials,
-        "cost_ratio": cfg.oracle.cost_weight / cfg.proxy.cost_weight,
+        "cost_ratio": cfg.cost_ratio,
     }
 
 
@@ -411,7 +414,7 @@ def _prepare_pass(cfg: ExperimentConfig) -> tuple[Dataset, dict[int, GroundTruth
     gts: dict[int, GroundTruth] = {}
     for q in cfg.query_ids:
         query = QuerySpec(q_id=int(q), r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
-        gts[int(q)] = ground_truth(ds, query, cfg.oracle, cfg.aggs)
+        gts[int(q)] = ground_truth(ds, query, oracle_model(), cfg.aggs)
     return ds, gts
 
 
@@ -436,7 +439,7 @@ def _pass_report(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth]
 
 
 def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """The single-pass config for one sweep value; rejects impossible sizes."""
+    """The single-pass config for one sweep value; rejects impossible sizes and targets."""
     try:
         if axis == "dataset_size":
             if cfg.gen_config is None:
@@ -452,6 +455,9 @@ def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         n = len(sub.dataset) if sub.dataset is not None else sub.gen_config.n_objects
         if sub.sprint.s > n:
             raise ValueError(f"sample size {sub.sprint.s} exceeds population {n}")
+        outside = [int(q) for q in sub.query_ids if int(q) >= n]
+        if outside:
+            raise ValueError(f"query target {outside[0]} outside population {n}")
     except ValueError as exc:
         raise ValueError(f"{axis} sweep value {value:g}: {exc}") from exc
     return sub
@@ -627,8 +633,6 @@ def run_ht_protocol(
     r: float,
     agg: str,
     sprint_cfg: SprintConfig,
-    oracle: EmbeddingModel | None = None,
-    proxy: EmbeddingModel | None = None,
     factors: Sequence[float] | None = None,
     ops: Sequence[str] = ("ge", "le"),
     k_samples: int = 30,
@@ -646,8 +650,7 @@ def run_ht_protocol(
     """
     if agg not in ("AVG", "PCT"):
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
-    oracle = oracle or oracle_model()
-    proxy = proxy or proxy_model()
+    oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 
     per_cell = []

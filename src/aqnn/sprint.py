@@ -330,16 +330,14 @@ def two_phase(
 def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     """Turn a query spec target into a DataObject.
 
-    An integer id selects a dataset member. An external feature vector is
-    wrapped as a pseudo-object with id -1 whose stored embeddings equal the
-    vector itself (simulated models re-derive from it as usual).
+    An integer id selects a dataset member. An external vector is wrapped
+    as a pseudo-object with id -1 whose oracle and proxy embeddings are
+    both the vector itself.
     """
     if isinstance(q_id, (int, np.integer)):
         return ds.object(int(q_id))
     vec = np.asarray(q_id, dtype=np.float64)
-    return DataObject(
-        id=-1, attr_value=float("nan"), features=vec, oracle_embedding=vec, proxy_embedding=vec
-    )
+    return DataObject(id=-1, attr_value=float("nan"), oracle_embedding=vec, proxy_embedding=vec)
 
 
 def select(

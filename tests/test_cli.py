@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aqnn import Dataset, SyntheticGenConfig, generate_synthetic, save_dataset
+from aqnn import Dataset, SyntheticGenConfig, generate_synthetic, save_dataset, speedup
 from aqnn.cli import main
 
 
@@ -115,9 +115,26 @@ class TestQueryCommand:
         assert code == 2
         assert "zero vectors" in err
 
+    def test_boolean_in_data_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.jsonl"
+        path.write_text(
+            '{"feature_dim": 2, "embedding_dim": 2}\n'
+            '{"attr": true, "features": [1, 0], "oracle_emb": [1, 0], "proxy_emb": [1, 0]}\n'
+        )
+        code, _, err = run_cli(
+            capsys, "query", "--data", str(path), "--q-id", "0", "--s", "1", "--sp", "1"
+        )
+        assert code == 2
+        assert "line 2: attr must be a number" in err
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "query", "--frobnicate", "1")
         assert code == 1
+
+    def test_cost_ratio_is_not_a_query_flag(self, capsys):
+        code, _, err = run_cli(capsys, "query", "--n", "200", "--cost-ratio", "5")
+        assert code == 1
+        assert "--cost-ratio" in err
 
     def test_oversized_sample_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -188,6 +205,37 @@ class TestBenchCommand:
         assert code == 1
         assert "sample_size sweep value 400: sample size 400 exceeds population 300" in err
         assert passes == []
+
+    COST_ARGV = [
+        "--seed", "1", "bench", "--n", "2000", "--proxy-noise", "0.4", "--queries", "3",
+        "--trials", "2", "--algorithms", "sprint_v,brute_force", "--s", "300", "--sp", "100",
+    ]
+
+    def test_cost_ratio_prices_speedup(self, capsys):
+        code, out, _ = run_cli(capsys, *self.COST_ARGV, "--cost-ratio", "5")
+        assert code == 0
+        payload = json.loads(out)
+        entry = payload["summary"]["sprint_v"]
+        assert payload["config"]["cost_ratio"] == 5.0
+        assert entry["speedup"] == speedup(
+            2000, entry["oracle_calls_mean"], entry["proxy_calls_mean"], 5.0
+        )
+        assert entry["speedup"] == pytest.approx(12.41, abs=0.01)
+
+    def test_nonpositive_cost_ratio_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, *self.COST_ARGV, "--cost-ratio", "0")
+        assert code == 1
+        assert "cost ratio must be positive" in err
+
+    def test_dataset_size_sweep_draws_random_targets_from_smallest_population(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--seed", "1", "bench", "--sweep", "dataset_size", "--grid", "1000,2000",
+            "--queries", "random:3", "--s", "300", "--sp", "100", "--trials", "1",
+            "--algorithms", "sprint_v",
+        )
+        assert code == 0, err
+        query_ids = json.loads(out)["config"]["query_ids"]
+        assert len(query_ids) == 3 and all(0 <= q < 1000 for q in query_ids)
 
     def test_algorithms_help_lists_every_algorithm(self, capsys):
         with pytest.raises(SystemExit):

@@ -83,6 +83,46 @@ class TestLoadDataset:
         ds = load_dataset(str(path))
         assert list(ds.ids) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            (_record(0, True, [0.0, 0.0]), "line 2: attr must be a number"),
+            (_record(0, 1.0, [True, False]), "line 2: features must be a list of numbers"),
+            ({**_record(0, 1.0, [0.0, 0.0]), "proxy_emb": [0.0, False]},
+             "line 2: proxy_emb must be a list of numbers"),
+        ],
+    )
+    def test_booleans_rejected(self, tmp_path, record, message):
+        path = tmp_path / "bool.jsonl"
+        _write_lines(path, [HEADER, record])
+        with pytest.raises(DataError, match=message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("feature_dim", 2.7), ("feature_dim", "x"), ("feature_dim", 0),
+         ("feature_dim", True), ("embedding_dim", 2.0), ("embedding_dim", -1)],
+    )
+    def test_header_dims_must_be_integers(self, tmp_path, key, value):
+        path = tmp_path / "dims.jsonl"
+        _write_lines(path, [{**HEADER, key: value}, _record(0, 1.0, [0.0, 0.0])])
+        with pytest.raises(DataError, match=f"line 1: {key} must be an integer"):
+            load_dataset(str(path))
+
+    def test_boolean_attr_bounds_rejected(self, tmp_path):
+        path = tmp_path / "bounds.jsonl"
+        _write_lines(path, [{**HEADER, "attr_bounds": [False, 10.0]},
+                            _record(0, 1.0, [0.0, 0.0])])
+        with pytest.raises(DataError, match="attr_bounds must be"):
+            load_dataset(str(path))
+
+    def test_roundtrip_without_embeddings(self, tmp_path):
+        # save_dataset writes embedding_dim 0 when there are no embedding columns
+        ds = Dataset(attrs=np.array([1.0, 2.0]), features=np.eye(2))
+        path = tmp_path / "plain.jsonl"
+        save_dataset(ds, str(path))
+        assert load_dataset(str(path)) == ds
+
     def test_roundtrip_equality(self, tmp_path):
         cfg = SyntheticGenConfig(n_objects=40, embedding_dim=3, n_clusters=4,
                                  proxy_noise_sigma=0.3, seed=9)

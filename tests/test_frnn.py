@@ -8,7 +8,6 @@ from aqnn import (
     DataError,
     NeighborSet,
     PrecisionTargetConfig,
-    dist,
     exact_frnn,
     pqe_pt,
     prf1,
@@ -18,26 +17,30 @@ from aqnn.frnn import distances_from
 
 
 class TestDist:
+    @staticmethod
+    def one(metric, u, v):
+        return distances_from(metric, u, np.array([v], dtype=float))[0]
+
     def test_euclidean_3_4_5(self):
-        assert dist("euclidean", [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
+        assert self.one("euclidean", [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
 
     def test_cosine_identity(self):
         for v in ([1.0, 2.0], [0.5, -3.0, 2.0]):
-            assert dist("cosine", v, v) == pytest.approx(0.0, abs=1e-12)
+            assert self.one("cosine", v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_orthogonal(self):
-        assert dist("cosine", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert self.one("cosine", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_cosine_opposite_is_two(self):
-        assert dist("cosine", [1.0, 0.0], [-2.0, 0.0]) == pytest.approx(2.0)
+        assert self.one("cosine", [1.0, 0.0], [-2.0, 0.0]) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            dist("euclidean", [1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="incompatible"):
+            self.one("euclidean", [1.0], [1.0, 2.0])
 
     def test_cosine_zero_vector(self):
         with pytest.raises(DataError, match="zero"):
-            dist("cosine", [0.0, 0.0], [1.0, 0.0])
+            self.one("cosine", [0.0, 0.0], [1.0, 0.0])
 
     def test_cosine_zero_row_is_data_error(self):
         with pytest.raises(DataError, match="zero"):
@@ -47,7 +50,7 @@ class TestDist:
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            dist("manhattan", [0.0], [1.0])
+            self.one("manhattan", [0.0], [1.0])
 
 
 class TestExactFrnn:

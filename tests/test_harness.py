@@ -191,6 +191,24 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert passes == []
 
+    def test_sweep_target_outside_a_pass_rejected_before_any_pass(self, monkeypatch):
+        import aqnn.harness
+
+        passes = []
+        monkeypatch.setattr(aqnn.harness, "_prepare_pass", lambda *a, **k: passes.append(a))
+        gen = SyntheticGenConfig(n_objects=800, embedding_dim=8, n_clusters=4, seed=31)
+        cfg = small_config(None, query_ids=[3, 600], gen_config=gen,
+                           sweep=SweepSpec(axis="dataset_size", grid=(400, 800)))
+        with pytest.raises(ValueError, match="dataset_size sweep value 400: "
+                           "query target 600 outside population 400"):
+            run_experiment(cfg)
+        assert passes == []
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cost_ratio_must_be_positive_and_finite(self, small_ds, ratio):
+        with pytest.raises(ValueError, match="cost ratio"):
+            small_config(small_ds, cost_ratio=ratio)
+
     def test_top_k_without_true_neighbor_notes_k_zero(self, small_ds):
         # a radius this small leaves only the target itself as a true neighbor
         report = run_experiment(

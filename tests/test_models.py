@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aqnn import CallLedger, DataError, embed_many, oracle_model, proxy_model, speedup
-from aqnn.models import EmbeddingModel
 from aqnn.sprint import resolve_query_object
 
 
@@ -50,33 +49,6 @@ class TestEmbedAccounting:
         ds = Dataset(attrs=np.array([1.0]), features=np.zeros((1, 2)))
         with pytest.raises(DataError, match="object 0 has no stored oracle"):
             oracle_model().embed(ds.object(0), CallLedger())
-
-
-class TestSimulatedModels:
-    def test_sigma_zero_equals_oracle(self, tiny_ds):
-        proxy = proxy_model(source="simulated", noise_sigma=0.0)
-        obj = tiny_ds.object(1)
-        assert np.array_equal(proxy.embed(obj, CallLedger()), obj.oracle_embedding)
-
-    def test_noise_deterministic_per_object(self, tiny_ds):
-        proxy = proxy_model(source="simulated", noise_sigma=0.5, noise_seed=7)
-        obj = tiny_ds.object(1)
-        v1 = proxy.embed(obj, CallLedger())
-        v2 = proxy.embed(obj, CallLedger())
-        assert np.array_equal(v1, v2)
-        assert not np.array_equal(v1, obj.oracle_embedding)
-
-    def test_noise_differs_across_objects(self, tiny_ds):
-        proxy = proxy_model(source="simulated", noise_sigma=0.5, noise_seed=7)
-        ledger = CallLedger()
-        d1 = proxy.embed(tiny_ds.object(0), ledger) - tiny_ds.object(0).oracle_embedding
-        d2 = proxy.embed(tiny_ds.object(1), ledger) - tiny_ds.object(1).oracle_embedding
-        assert not np.array_equal(d1, d2)
-
-    def test_simulated_oracle_is_identity(self, tiny_ds):
-        oracle = EmbeddingModel(role="oracle", source="simulated", cost_weight=2.0)
-        obj = tiny_ds.object(4)
-        assert np.array_equal(oracle.embed(obj, CallLedger()), obj.oracle_embedding)
 
 
 class TestSpeedup:
