@@ -11,6 +11,7 @@ from .aggregate import AggregationContext, aggregate, relative_error
 from .bounds import (
     BoundsInput,
     BoundsOutput,
+    min_sizes,
     min_sizes_count,
     min_sizes_sum,
     min_sizes_value,
@@ -80,6 +81,7 @@ __all__ = [
     "generate_synthetic",
     "ht_accuracy",
     "load_dataset",
+    "min_sizes",
     "min_sizes_count",
     "min_sizes_sum",
     "min_sizes_value",

@@ -13,6 +13,7 @@ COUNT) through the precision-recall balance tolerance ``omega_c``. SUM
 takes the max of a count-driven and a mean-driven requirement on both
 sizes. The selection-error tolerance a given ``lambda_`` implies is
 reported back as ``omega_nn_implied`` for value-sensitive aggregates.
+``min_sizes`` picks the calculator from the aggregation.
 """
 
 from __future__ import annotations
@@ -189,6 +190,17 @@ def min_sizes_sum(inp: BoundsInput) -> BoundsOutput:
             "omega_nn_sum": omega_nn_sum,
         },
     )
+
+
+def min_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
+    """Minimum sizes from the calculator matching the aggregation's sensitivity."""
+    if agg in ("AVG", "VAR"):
+        return min_sizes_value(agg, inp)
+    if agg in ("PCT", "COUNT"):
+        return min_sizes_count(agg, inp)
+    if agg == "SUM":
+        return min_sizes_sum(inp)
+    raise ValueError(f"unknown aggregation {agg!r}")
 
 
 def reconcile_sizes(out: BoundsOutput) -> BoundsOutput:

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
 from .aggregate import AGGREGATIONS, SCOPE_SAMPLE, AggregationContext, aggregate, relative_error
-from .bounds import BoundsInput, min_sizes_count, min_sizes_sum, min_sizes_value, reconcile_sizes
+from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import SyntheticGenConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import DataError, DegenerateNeighborhoodError, UsageError
 from .harness import (
     DEFAULT_COST_RATIO,
     ExperimentConfig,
     SweepSpec,
+    canonical_json,
     ground_truth,
     run_experiment,
     run_ht_protocol,
@@ -40,10 +40,6 @@ _EXIT_BY_ERROR = {UsageError: 1, DataError: 2, DegenerateNeighborhoodError: 3}
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep usage errors at 1
         raise UsageError(message)
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _seed_from(args) -> int:
@@ -123,7 +119,7 @@ def _cmd_gen(args) -> int:
     ds = generate_synthetic(_gen_config(args, seed))
     save_dataset(ds, args.out)
     if args.json:
-        sys.stdout.write(_canonical_json({
+        sys.stdout.write(canonical_json({
             "out": args.out,
             "n": len(ds),
             "feature_dim": ds.feature_dim,
@@ -167,7 +163,7 @@ def _cmd_query(args) -> int:
         "seed": seed,
     }
     if args.truth:
-        gt = ground_truth(ds, query, oracle_model(), [args.agg])
+        gt = ground_truth(ds, query, [args.agg])
         truth_val = gt.agg_values[args.agg]
         if truth_val is None:
             raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
@@ -180,7 +176,7 @@ def _cmd_query(args) -> int:
             on_d_size=len(gt.on_d),
         )
     if args.json:
-        sys.stdout.write(_canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -195,12 +191,7 @@ def _cmd_bounds(args) -> int:
             lambda_=args.lambda_, population_size_D=args.d_size,
             avg_s_abs=args.avg_s, on_d_size=args.on_d,
         )
-        if args.agg in ("AVG", "VAR"):
-            out = min_sizes_value(args.agg, inp)
-        elif args.agg in ("PCT", "COUNT"):
-            out = min_sizes_count(args.agg, inp)
-        else:
-            out = min_sizes_sum(inp)
+        out = min_sizes(args.agg, inp)
         if args.reconcile:
             out = reconcile_sizes(out)
     except ValueError as exc:
@@ -215,7 +206,7 @@ def _cmd_bounds(args) -> int:
         "details": out.details,
     }
     if args.json:
-        sys.stdout.write(_canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
     else:
         print(f"s_min = {out.s_min}")
         print(f"s_p_min = {out.s_p_min}")
@@ -308,7 +299,7 @@ def _cmd_ht(args) -> int:
         seed=seed,
     )
     if args.json:
-        sys.stdout.write(_canonical_json(result))
+        sys.stdout.write(canonical_json(result))
     else:
         print(f"mean accuracy: {result['mean_accuracy']}")
         for factor in result["factors"]:

@@ -52,10 +52,9 @@ def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborSet:
-    """A selected id-set tagged with the space and method that produced it."""
+    """A selected id-set tagged with the method that produced it."""
 
     member_ids: np.ndarray  # sorted int64 array of distinct ids
-    space: str  # "oracle" | "proxy" | "mixed"
     method: str
     threshold_used: float | None = None
 
@@ -83,7 +82,6 @@ def exact_frnn(
     q_emb,
     r: float,
     metric: str = "euclidean",
-    space: str = "oracle",
 ) -> NeighborSet:
     """All ids whose embedding lies within distance r of the query.
 
@@ -92,14 +90,14 @@ def exact_frnn(
     """
     ids = np.asarray(universe_ids, dtype=np.int64)
     if embeddings is None:
-        raise DataError(f"missing {space} embeddings for exact search")
+        raise DataError("missing embeddings for exact search")
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape[0] != ids.shape[0]:
         raise DataError("embeddings not aligned with universe ids")
     if np.isnan(emb).any():
-        raise DataError(f"missing {space} embedding values (NaN) in universe")
+        raise DataError("missing embedding values (NaN) in universe")
     d = distances_from(metric, q_emb, emb)
-    return NeighborSet(np.unique(ids[d <= r]), space, "exact_frnn", float(r))
+    return NeighborSet(np.unique(ids[d <= r]), "exact_frnn", float(r))
 
 
 def pqe_pt(
@@ -149,13 +147,13 @@ def pqe_pt(
 
     if not ok.any():
         nearest_true = lab_ids[lab_true][:1]
-        return NeighborSet(nearest_true, space="mixed", method="pqe_pt", threshold_used=None)
+        return NeighborSet(nearest_true, method="pqe_pt", threshold_used=None)
 
     # The true count orders candidates as labeled recall does.
     k_true, p_hat, taus = k_true[ok], p_hat[ok], taus[ok]
     best_tau = float(taus[np.lexsort((taus, p_hat, k_true))[-1]])
     members = sample_ids[sample_d <= best_tau]
-    return NeighborSet(members, space="mixed", method="pqe_pt", threshold_used=best_tau)
+    return NeighborSet(members, method="pqe_pt", threshold_used=best_tau)
 
 
 def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:
@@ -167,7 +165,6 @@ def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:
     chosen = np.lexsort((ids, dists))[:k]
     return NeighborSet(
         member_ids=np.sort(ids[chosen]),
-        space="proxy",
         method="top_k",
         threshold_used=float(dists[chosen[-1]]),
     )

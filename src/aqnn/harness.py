@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .aggregate import SCOPE_SAMPLE, SCOPE_TRUTH, AggregationContext, aggregate, relative_error
-from .bounds import BoundsInput, min_sizes_count, min_sizes_sum, min_sizes_value, reconcile_sizes
+from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError, UsageError
 from .frnn import NeighborSet, prf1
-from .models import CallLedger, EmbeddingModel, oracle_model, proxy_model, speedup
+from .models import CallLedger, oracle_model, proxy_model, speedup
 from .seeding import derive_seed, spawn_rng
 from .sprint import (
     ALGORITHMS,
@@ -47,6 +47,11 @@ SWEEP_AXES = ("dataset_size", "sample_size", "pilot_size", "radius")
 
 # One oracle call in proxy calls; conservative, observed gaps run 2-10x.
 DEFAULT_COST_RATIO = 2.0
+
+
+def canonical_json(payload) -> str:
+    """The canonical, byte-reproducible text of a JSON payload."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def parse_algorithm(spec: str) -> tuple[str, float | None]:
@@ -76,6 +81,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        if self.grid[0] <= 0:
+            raise ValueError(f"{self.axis} sweep values must be positive, got {self.grid[0]:g}")
 
 
 @dataclass
@@ -136,7 +143,7 @@ class CellResult:
     selected: int
     degenerate: bool
     note: str
-    wall_time_s: float
+    wall_time_s: float = 0.0  # set by the caller, which times the whole cell
     sweep_value: float | None = None
 
 
@@ -150,72 +157,43 @@ class MetricsReport:
     sweep: list[dict] | None = None
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        cells = []
-        for c in self.cells:
-            row = {
-                "algorithm": c.algorithm,
-                "query_id": c.query_id,
-                "trial": c.trial,
-                "estimates": c.estimates,
-                "re_pct": c.re_pct,
-                "f1_s": c.f1_s,
-                "pr_gap": c.pr_gap,
-                "t_star": c.t_star,
-                "oracle_calls": c.oracle_calls,
-                "proxy_calls": c.proxy_calls,
-                "selected": c.selected,
-                "degenerate": c.degenerate,
-                "note": c.note,
-            }
-            if c.sweep_value is not None:
-                row["sweep_value"] = c.sweep_value
-            if include_timing:
-                row["wall_time_s"] = c.wall_time_s
-            cells.append(row)
-        out = {
-            "seed": self.seed,
-            "config": self.config,
-            "ground_truth": self.ground_truth,
-            "cells": cells,
-            "summary": self.summary,
-        }
-        if self.sweep is not None:
-            out["sweep"] = [
-                {k: v for k, v in entry.items() if include_timing or k != "mean_wall_time_s"}
-                for entry in self.sweep
-            ]
+        out = asdict(self)
+        out["cells"] = [_visible(row, include_timing) for row in out["cells"]]
+        if self.sweep is None:
+            del out["sweep"]
+        elif not include_timing:
+            for entry in out["sweep"]:
+                del entry["mean_wall_time_s"]
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json_dict(include_timing))
 
     def to_csv_rows(self) -> list[dict]:
+        """One row per cell, timed, with the per-aggregation maps flattened."""
         rows = []
         for c in self.cells:
-            base = {
-                "algorithm": c.algorithm,
-                "query_id": c.query_id,
-                "trial": c.trial,
-                "f1_s": c.f1_s,
-                "pr_gap": c.pr_gap,
-                "t_star": c.t_star,
-                "oracle_calls": c.oracle_calls,
-                "proxy_calls": c.proxy_calls,
-                "selected": c.selected,
-                "degenerate": c.degenerate,
-                "wall_time_s": c.wall_time_s,
-            }
+            row = _visible(asdict(c), include_timing=True)
+            del row["estimates"], row["re_pct"], row["note"]
             for agg, re in c.re_pct.items():
-                base[f"re_{agg.lower()}"] = re
-                base[f"estimate_{agg.lower()}"] = c.estimates.get(agg)
-            rows.append(base)
+                row[f"re_{agg.lower()}"] = re
+                row[f"estimate_{agg.lower()}"] = c.estimates.get(agg)
+            rows.append(row)
         return rows
+
+
+def _visible(row: dict, include_timing: bool) -> dict:
+    """A cell's fields minus those hidden: an unset sweep value, and timing unless asked."""
+    if row["sweep_value"] is None:
+        del row["sweep_value"]
+    if not include_timing:
+        del row["wall_time_s"]
+    return row
 
 
 def ground_truth(
     ds: Dataset,
     query: QuerySpec,
-    oracle: EmbeddingModel,
     aggs: Sequence[str] | None = None,
 ) -> GroundTruth:
     """Brute-force oracle neighborhood over all of D plus exact aggregates.
@@ -226,7 +204,7 @@ def ground_truth(
     aggs = list(aggs) if aggs is not None else [query.agg]
     ledger = CallLedger()
     q_obj = resolve_query_object(ds, query.q_id)
-    on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle, ledger)
+    on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle_model(), ledger)
     ctx = AggregationContext(
         sample_size_s=len(ds), population_size_D=len(ds), scope=SCOPE_TRUTH
     )
@@ -299,7 +277,6 @@ def _evaluate_cell(
         selected=len(chosen),
         degenerate=degenerate,
         note=note,
-        wall_time_s=0.0,  # the caller times the whole cell
     )
 
 
@@ -325,19 +302,16 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                 sample_ids, pilot_ids, ledger, fixed_t,
             )
         except DegenerateNeighborhoodError as exc:
-            elapsed = time.perf_counter() - start
-            results.append(
-                CellResult(
-                    algorithm=spec, query_id=query_id, trial=trial,
-                    estimates={a: None for a in cfg.aggs},
-                    re_pct={a: None for a in cfg.aggs},
-                    f1_s=None, pr_gap=None, t_star=None,
-                    oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls,
-                    selected=0, degenerate=True, note=str(exc), wall_time_s=elapsed,
-                )
+            cell = CellResult(
+                algorithm=spec, query_id=query_id, trial=trial,
+                estimates={a: None for a in cfg.aggs},
+                re_pct={a: None for a in cfg.aggs},
+                f1_s=None, pr_gap=None, t_star=None,
+                oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls,
+                selected=0, degenerate=True, note=str(exc),
             )
-            continue
-        cell = _evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint, gt, on_s)
+        else:
+            cell = _evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint, gt, on_s)
         cell.wall_time_s = time.perf_counter() - start
         results.append(cell)
     return results
@@ -414,7 +388,7 @@ def _prepare_pass(cfg: ExperimentConfig) -> tuple[Dataset, dict[int, GroundTruth
     gts: dict[int, GroundTruth] = {}
     for q in cfg.query_ids:
         query = QuerySpec(q_id=int(q), r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
-        gts[int(q)] = ground_truth(ds, query, oracle_model(), cfg.aggs)
+        gts[int(q)] = ground_truth(ds, query, cfg.aggs)
     return ds, gts
 
 
@@ -455,7 +429,7 @@ def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         n = len(sub.dataset) if sub.dataset is not None else sub.gen_config.n_objects
         if sub.sprint.s > n:
             raise ValueError(f"sample size {sub.sprint.s} exceeds population {n}")
-        outside = [int(q) for q in sub.query_ids if int(q) >= n]
+        outside = [int(q) for q in sub.query_ids if not 0 <= int(q) < n]
         if outside:
             raise ValueError(f"query target {outside[0]} outside population {n}")
     except ValueError as exc:
@@ -543,8 +517,6 @@ class CoverageResult:
 def coverage_check(
     ds: Dataset,
     query: QuerySpec,
-    oracle: EmbeddingModel,
-    proxy: EmbeddingModel,
     alpha: float,
     omega_s: float,
     omega_nn: float,
@@ -552,18 +524,16 @@ def coverage_check(
     lambda_: float = 1.0,
     trials: int = 200,
     seed: int = 0,
-    bound_source: str | None = None,
 ) -> CoverageResult:
     """Fraction of independent runs landing within omega_s + omega_nn.
 
     Sample and pilot sizes come from the bound calculator matching the
-    query's sensitivity, or from the explicitly requested family
-    ("value", "count", "sum"); the neighborhood density input is estimated
-    from the brute-force ground truth.
+    query's aggregation; the neighborhood density input is estimated from
+    the brute-force ground truth.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    gt = ground_truth(ds, query, oracle, [query.agg])
+    gt = ground_truth(ds, query, [query.agg])
     truth = gt.agg_values[query.agg]
     if truth is None:
         raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
@@ -584,16 +554,7 @@ def coverage_check(
         on_d_size=len(gt.on_d) if query.agg == "SUM" else None,
         bounds_data_derived=ds.bounds_source == "data",
     )
-    source = bound_source or {"value": "value", "count": "count", "both": "sum"}[
-        query.sensitivity
-    ]
-    if source == "value":
-        out = min_sizes_value(query.agg if query.agg in ("AVG", "VAR") else "AVG", inp)
-    elif source == "count":
-        out = min_sizes_count(query.agg if query.agg in ("PCT", "COUNT") else "PCT", inp)
-    else:
-        out = min_sizes_sum(inp)
-    out = reconcile_sizes(out)
+    out = reconcile_sizes(min_sizes(query.agg, inp))
     s = min(out.s_min, len(ds))
     s_p = min(out.s_p_min, s)
 
@@ -605,7 +566,7 @@ def coverage_check(
             s=s, s_p=s_p, alpha=alpha, seed=derive_seed(seed, "coverage", trial)
         )
         try:
-            res = select_neighbors(query, cfg, ds, oracle, proxy)
+            res = select_neighbors(query, cfg, ds, oracle_model(), proxy_model())
         except DegenerateNeighborhoodError:
             failures += 1
             continue
@@ -653,17 +614,22 @@ def run_ht_protocol(
     oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 
+    def decide(h: Hypothesis, members: np.ndarray, n: int) -> bool:
+        """Reject-null decision on a neighborhood drawn from n objects."""
+        if agg == "AVG":
+            return t_test_one_sample(ds.attrs[members], h).reject_null
+        return z_test_proportion(len(members) / n, n, h).reject_null
+
     per_cell = []
     per_factor: dict[float, list[float]] = {f: [] for f in factors}
     skipped = 0
     for qi, q in enumerate(query_ids):
         query = QuerySpec(q_id=int(q), r=r, agg=agg, metric=metric)
-        gt = ground_truth(ds, query, oracle, [agg])
+        gt = ground_truth(ds, query, [agg])
         truth_val = gt.agg_values[agg]
         if truth_val is None or truth_val == 0:
             skipped += 1
             continue
-        truth_values = ds.attrs[gt.on_d.member_ids]
 
         # One selection per (query, trial), reused across factors and ops.
         trial_selections = []
@@ -673,50 +639,24 @@ def run_ht_protocol(
             trial_selections.append(res.neighbors.member_ids)
 
         for factor in factors:
-            c = factor * truth_val
             for op in ops:
+                acc, note = None, ""
                 try:
-                    if agg == "AVG":
-                        h = Hypothesis(agg="AVG", op=op, c=c, alpha=alpha)
-                        truth_decision = t_test_one_sample(truth_values, h).reject_null
-                    else:
-                        h = Hypothesis(agg="PCT", op=op, c=c, alpha=alpha)
-                        truth_decision = z_test_proportion(
-                            len(gt.on_d) / len(ds), len(ds), h
-                        ).reject_null
+                    h = Hypothesis(agg=agg, op=op, c=factor * truth_val, alpha=alpha)
+                    truth_decision = decide(h, gt.on_d.member_ids, len(ds))
                 except ValueError as exc:
-                    per_cell.append(
-                        {"query_id": int(q), "factor": factor, "op": op,
-                         "accuracy": None, "note": str(exc)}
-                    )
-                    continue
-
-                est_decisions = []
-                ok = True
-                for members in trial_selections:
+                    note = str(exc)
+                else:
                     try:
-                        if agg == "AVG":
-                            d = t_test_one_sample(ds.attrs[members], h).reject_null
-                        else:
-                            d = z_test_proportion(
-                                len(members) / sprint_cfg.s, sprint_cfg.s, h
-                            ).reject_null
+                        est = [decide(h, m, sprint_cfg.s) for m in trial_selections]
                     except ValueError:
-                        ok = False
-                        break
-                    est_decisions.append(d)
-                if not ok:
-                    per_cell.append(
-                        {"query_id": int(q), "factor": factor, "op": op,
-                         "accuracy": None, "note": "estimate test undefined"}
-                    )
-                    continue
-                acc = ht_accuracy(est_decisions, [truth_decision] * len(est_decisions))
+                        note = "estimate test undefined"
+                    else:
+                        acc = ht_accuracy(est, [truth_decision] * len(est))
+                        per_factor[factor].append(acc)
                 per_cell.append(
-                    {"query_id": int(q), "factor": factor, "op": op,
-                     "accuracy": acc, "note": ""}
+                    {"query_id": int(q), "factor": factor, "op": op, "accuracy": acc, "note": note}
                 )
-                per_factor[factor].append(acc)
 
     factor_means = {
         f: (float(np.mean(v)) if v else None) for f, v in per_factor.items()

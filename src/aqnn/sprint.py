@@ -148,15 +148,14 @@ def ternary_search_max(
 class SelectionResult:
     """A selection's outputs plus the context needed for aggregation.
 
-    ``t_star`` is None, and ``iterations`` and ``probes`` are 0, for the
-    baselines that search no precision target (top_k, brute_force).
+    ``t_star`` is None, and ``probes`` is 0, for the baselines that search
+    no precision target (top_k, brute_force).
     """
 
     neighbors: NeighborSet
     sample_ids: np.ndarray
     pilot_ids: np.ndarray
     t_star: float | None
-    iterations: int
     probes: int
     ledger: CallLedger
 
@@ -170,7 +169,7 @@ def oracle_scan(
     Charges the ledger one oracle call per id plus one for the query.
     """
     q_emb = oracle.embed(query, ledger)
-    return exact_frnn(ids, embed_many(oracle, ds, ids, ledger), q_emb, r, metric, space="oracle")
+    return exact_frnn(ids, embed_many(oracle, ds, ids, ledger), q_emb, r, metric)
 
 
 def _proxy_distances(
@@ -249,16 +248,13 @@ class SelectionContext:
     def select_on_sample(self, t: float, method: str) -> NeighborSet:
         return replace(self._select(self.sample_ids, self.sample_d, t), method=method)
 
-    def result(
-        self, t_star: float, method: str, iterations: int = 0, probes: int = 0
-    ) -> SelectionResult:
+    def result(self, t_star: float, method: str, probes: int = 0) -> SelectionResult:
         """Select on the sample at target t_star and record how it was found."""
         return SelectionResult(
             neighbors=self.select_on_sample(t_star, method),
             sample_ids=self.sample_ids,
             pilot_ids=self.pilot_ids,
             t_star=t_star,
-            iterations=iterations,
             probes=probes,
             ledger=self.ledger,
         )
@@ -272,7 +268,7 @@ def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionResult:
     """Maximize pilot F1 by ternary search over the precision target."""
     ctx.require_pilot_truth()
     t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v)
-    return ctx.result(t_star, "sprint_v", iterations, 2 * iterations)
+    return ctx.result(t_star, "sprint_v", 2 * iterations)
 
 
 def _balance_search(
@@ -308,7 +304,7 @@ def sprint_c(ctx: SelectionContext, omega_c: float, max_iters: int = 30) -> Sele
     """Equalize pilot precision and recall by binary search over the target."""
     ctx.require_pilot_truth()
     t_star, probes = _balance_search(ctx, omega_c, max_iters)
-    return ctx.result(t_star, "sprint_c", probes, probes)
+    return ctx.result(t_star, "sprint_c", probes)
 
 
 def two_phase(
@@ -324,17 +320,20 @@ def two_phase(
     lo = max(0.0, t_c - TWO_PHASE_WINDOW)
     hi = min(1.0, t_c + TWO_PHASE_WINDOW)
     t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v, lo, hi)
-    return ctx.result(t_star, "two_phase", iterations, probes_c + 2 * iterations)
+    return ctx.result(t_star, "two_phase", probes_c + 2 * iterations)
 
 
 def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     """Turn a query spec target into a DataObject.
 
-    An integer id selects a dataset member. An external vector is wrapped
-    as a pseudo-object with id -1 whose oracle and proxy embeddings are
-    both the vector itself.
+    An integer id selects a dataset member; one outside the population
+    raises ``ValueError``, since the target comes from the caller, not the
+    data. An external vector is wrapped as a pseudo-object with id -1 whose
+    oracle and proxy embeddings are both the vector itself.
     """
     if isinstance(q_id, (int, np.integer)):
+        if not 0 <= q_id < len(ds):
+            raise ValueError(f"query target {q_id} outside population {len(ds)}")
         return ds.object(int(q_id))
     vec = np.asarray(q_id, dtype=np.float64)
     return DataObject(id=-1, attr_value=float("nan"), oracle_embedding=vec, proxy_embedding=vec)
@@ -361,7 +360,7 @@ def select(
     if algorithm == "brute_force":
         on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle, ledger)
         chosen = replace(on_d, method="brute_force")
-        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, 0, ledger)
+        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
     if algorithm == "top_k":
         # Oracle labels over the whole sample set the budget K = |ON_S|.
         k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, oracle, ledger))
@@ -370,8 +369,8 @@ def select(
             chosen = top_k_baseline(sample_ids, dists, k)
         else:  # nothing to rank; only the target's proxy call is spent
             proxy.embed(q_obj, ledger)
-            chosen = NeighborSet(np.empty(0, dtype=np.int64), "proxy", "top_k")
-        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, 0, ledger)
+            chosen = NeighborSet(np.empty(0, dtype=np.int64), "top_k")
+        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
 
     ctx = SelectionContext.build(
         ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, oracle, proxy, ledger,

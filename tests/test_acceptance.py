@@ -112,8 +112,6 @@ def test_criterion_04_hoeffding_coverage():
     result = coverage_check(
         ds,
         QuerySpec(q_id=5, r=6.0, agg="PCT"),
-        oracle_model(),
-        proxy_model(),
         alpha=0.05,
         omega_s=0.05,
         omega_nn=0.1,

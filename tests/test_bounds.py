@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from aqnn import (
     BoundsInput,
+    min_sizes,
     min_sizes_count,
     min_sizes_sum,
     min_sizes_value,
@@ -144,6 +145,26 @@ class TestSumSizes:
     def test_rescaled_tolerance_guard(self):
         with pytest.raises(ValueError, match="rescaled omega_nn"):
             min_sizes_sum(self._base(omega_nn=1e-9, omega_c=0.5, rho=1.0))
+
+
+class TestDispatch:
+    INP = BoundsInput(alpha=0.05, rho=0.5, a=1.0, b=5.0, omega_s=100.0, omega_nn=0.2,
+                      omega_c=0.0001, lambda_=0.5, population_size_D=1000, avg_s_abs=3.0,
+                      on_d_size=100)
+
+    @pytest.mark.parametrize("agg,calculator", [
+        ("AVG", lambda inp: min_sizes_value("AVG", inp)),
+        ("VAR", lambda inp: min_sizes_value("VAR", inp)),
+        ("PCT", lambda inp: min_sizes_count("PCT", inp)),
+        ("COUNT", lambda inp: min_sizes_count("COUNT", inp)),
+        ("SUM", min_sizes_sum),
+    ])
+    def test_matches_the_calculator_of_each_aggregation(self, agg, calculator):
+        assert min_sizes(agg, self.INP) == calculator(self.INP)
+
+    def test_unknown_aggregation_rejected(self):
+        with pytest.raises(ValueError, match="MEDIAN"):
+            min_sizes("MEDIAN", self.INP)
 
 
 class TestReconcile:

@@ -136,6 +136,14 @@ class TestQueryCommand:
         assert code == 1
         assert "--cost-ratio" in err
 
+    @pytest.mark.parametrize("q_id", ["5000", "-3"])
+    def test_target_outside_population_is_usage_error(self, capsys, q_id):
+        code, _, err = run_cli(
+            capsys, "query", "--n", "1000", f"--q-id={q_id}", "--s", "200", "--sp", "50"
+        )
+        assert code == 1
+        assert f"query target {q_id} outside population 1000" in err
+
     def test_oversized_sample_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "--seed", "0", "query", "--n", "100", "--s", "500", "--sp", "50"
@@ -175,6 +183,22 @@ class TestBenchCommand:
         header = rows.read_text().splitlines()[0]
         assert "re_avg" in header and "wall_time_s" in header
 
+    def test_csv_header_of_two_aggregation_run(self, tmp_path, capsys):
+        rows = tmp_path / "cells.csv"
+        code, _, err = run_cli(
+            capsys, "--seed", "11", "bench", "--n", "400", "--dim", "8", "--clusters", "4",
+            "--queries", "0,5", "--radius", "5", "--agg", "AVG,PCT",
+            "--algorithms", "sprint_v,top_k", "--trials", "1", "--s", "150", "--sp", "50",
+            "--csv", str(rows),
+        )
+        assert code == 0, err
+        lines = rows.read_text().splitlines()
+        assert lines[0] == (
+            "algorithm,degenerate,estimate_avg,estimate_pct,f1_s,oracle_calls,pr_gap,"
+            "proxy_calls,query_id,re_avg,re_pct,selected,t_star,trial,wall_time_s"
+        )
+        assert len(lines) == 1 + 2 * 2
+
     SWEEP_ARGV = [
         "--seed", "7", "bench", "--n", "2000", "--proxy-noise", "0.4", "--agg", "PCT",
         "--algorithms", "sprint_c", "--s", "300", "--sp", "100", "--trials", "2",
@@ -190,6 +214,56 @@ class TestBenchCommand:
         code3, out3, _ = run_cli(capsys, *self.SWEEP_ARGV, "--timings")
         assert code3 == 0
         assert all("mean_wall_time_s" in e for e in json.loads(out3)["sweep"])
+
+    def test_timed_sweep_report_keys(self, capsys):
+        code, out, err = run_cli(capsys, *self.SWEEP_ARGV, "--timings")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert set(payload) == {"seed", "config", "ground_truth", "cells", "summary", "sweep"}
+        cell_keys = {
+            "algorithm", "query_id", "trial", "estimates", "re_pct", "f1_s", "pr_gap",
+            "t_star", "oracle_calls", "proxy_calls", "selected", "degenerate", "note",
+            "sweep_value", "wall_time_s",
+        }
+        assert all(set(cell) == cell_keys for cell in payload["cells"])
+        assert all(set(entry) == {"value", "summary", "density", "mean_wall_time_s"}
+                   for entry in payload["sweep"])
+
+    def test_sweep_csv_rows_carry_sweep_value(self, tmp_path, capsys):
+        import csv
+
+        path = tmp_path / "c.csv"
+        argv = [a for a in self.SWEEP_ARGV if a != "--json"]
+        argv[argv.index("--trials") + 1] = "1"
+        code, _, err = run_cli(capsys, *argv, "--queries", "5", "--csv", str(path))
+        assert code == 0, err
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["sweep_value"]) for r in rows] == [5.0, 6.0]
+
+    @pytest.mark.parametrize("extra", [
+        ["--queries", "5000"],
+        ["--queries=-3", "--sweep", "sample_size", "--grid", "200,300"],
+    ])
+    def test_target_outside_population_is_usage_error(self, capsys, extra):
+        code, _, err = run_cli(
+            capsys, "bench", "--n", "1000", "--s", "100", "--sp", "50", "--trials", "1",
+            "--algorithms", "sprint_v", *extra,
+        )
+        assert code == 1
+        assert "outside population 1000" in err
+
+    @pytest.mark.parametrize("sweep,grid,value", [
+        ("dataset_size", "0,1000", "0"),
+        ("radius", "-1,2", "-1"),
+    ])
+    def test_sweep_grid_values_must_be_positive(self, capsys, sweep, grid, value):
+        code, _, err = run_cli(
+            capsys, "bench", "--n", "1000", "--s", "100", "--sp", "50", "--trials", "1",
+            "--queries", "random:2", "--sweep", sweep, f"--grid={grid}",
+        )
+        assert code == 1
+        assert f"{sweep} sweep values must be positive, got {value}" in err
 
     def test_bad_sweep_value_fails_before_any_pass(self, tmp_path, capsys, monkeypatch):
         import aqnn.harness
@@ -265,6 +339,14 @@ class TestHtCommand:
         payload = json.loads(out)
         assert payload["factors"] == [0.5, 1.0, 1.5]
         assert payload["accuracy_by_factor"]["0.5"] == 1.0
+
+    def test_target_outside_population_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "ht", "--n", "300", "--queries", "300", "--s", "100", "--sp", "50",
+            "--k", "2",
+        )
+        assert code == 1
+        assert "query target 300 outside population 300" in err
 
     def test_bad_op_rejected(self, capsys):
         code, _, err = run_cli(

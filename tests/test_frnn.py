@@ -129,7 +129,7 @@ def run_pqe_pt(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):
     sample, labeled = ids_of(sample_ids), ids_of(labeled_ids)
     sample_d = np.array([proxy_dists[i] for i in sample.tolist()], dtype=np.float64)
     labeled_d = np.array([proxy_dists[i] for i in labeled.tolist()], dtype=np.float64)
-    truth = NeighborSet(ids_of(truth_ids), "oracle", "exact_frnn", r)
+    truth = NeighborSet(ids_of(truth_ids), "exact_frnn", r)
     return pqe_pt(sample, sample_d, labeled, labeled_d, truth, PrecisionTargetConfig(t, delta), r)
 
 

@@ -12,7 +12,6 @@ from aqnn.harness import (
     run_experiment,
     run_ht_protocol,
 )
-from aqnn.models import oracle_model, proxy_model
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def small_config(ds, **kw):
 class TestGroundTruth:
     def test_huge_radius_aggregates_everything(self, tiny_ds):
         gt = ground_truth(
-            tiny_ds, QuerySpec(q_id=0, r=1e9, agg="AVG"), oracle_model(), ["AVG", "SUM"]
+            tiny_ds, QuerySpec(q_id=0, r=1e9, agg="AVG"), ["AVG", "SUM"]
         )
         assert gt.agg_values["AVG"] == pytest.approx(tiny_ds.attrs.mean())
         assert gt.agg_values["SUM"] == pytest.approx(tiny_ds.attrs.sum())
@@ -62,19 +61,19 @@ class TestGroundTruth:
         )
         ds = Dataset(attrs=np.arange(9.0), features=pts, oracle_emb=pts, proxy_emb=pts)
         gt = ground_truth(
-            ds, QuerySpec(q_id=np.zeros(2), r=1.0, agg="COUNT"), oracle_model(), ["COUNT"]
+            ds, QuerySpec(q_id=np.zeros(2), r=1.0, agg="COUNT"), ["COUNT"]
         )
         assert len(gt.on_d) == 6
         assert gt.agg_values["COUNT"] == 6.0
 
     def test_oracle_ledger_equals_population(self, tiny_ds):
-        gt = ground_truth(tiny_ds, QuerySpec(q_id=0, r=2.0, agg="PCT"), oracle_model())
+        gt = ground_truth(tiny_ds, QuerySpec(q_id=0, r=2.0, agg="PCT"))
         assert gt.oracle_calls == len(tiny_ds)  # query object memoized within D
 
     def test_empty_neighborhood_marks_value_aggs_degenerate(self, tiny_ds):
         q = np.array([500.0, 500.0])
         gt = ground_truth(
-            tiny_ds, QuerySpec(q_id=q, r=1.0, agg="AVG"), oracle_model(), ["AVG", "PCT"]
+            tiny_ds, QuerySpec(q_id=q, r=1.0, agg="AVG"), ["AVG", "PCT"]
         )
         assert gt.agg_values["AVG"] is None
         assert gt.agg_values["PCT"] == 0.0
@@ -247,8 +246,6 @@ class TestCoverage:
         result = coverage_check(
             small_ds,
             QuerySpec(q_id=3, r=5.0, agg="AVG"),
-            oracle_model(),
-            proxy_model(),
             alpha=0.05,
             omega_s=200.0,
             omega_nn=100.0,
@@ -261,8 +258,6 @@ class TestCoverage:
         result = coverage_check(
             small_ds,
             QuerySpec(q_id=3, r=5.0, agg="PCT"),
-            oracle_model(),
-            proxy_model(),
             alpha=0.05,
             omega_s=0.05,
             omega_nn=0.1,
@@ -279,8 +274,6 @@ class TestCoverage:
         result = coverage_check(
             small_noisy_ds,
             QuerySpec(q_id=3, r=5.0, agg="AVG"),
-            oracle_model(),
-            proxy_model(),
             alpha=0.05,
             omega_s=300.0,  # yields s_min = 1 for the wide clinical span
             omega_nn=0.001,

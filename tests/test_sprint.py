@@ -35,7 +35,7 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
     sample_ids = np.asarray(
         sample_ids if sample_ids is not None else sorted(proxy_dist), dtype=np.int64
     )
-    truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), "oracle", "exact_frnn", r)
+    truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), "exact_frnn", r)
     return SelectionContext(
         sample_ids=sample_ids,
         sample_d=np.array([proxy_dist[i] for i in sample_ids.tolist()], dtype=np.float64),
@@ -142,8 +142,7 @@ class TestSprintV:
         ctx, _, _ = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2, models)
         for omega in (0.05, 0.01):
             out = sprint_v(ctx, omega)
-            assert out.iterations == expected_ternary_iterations(omega)
-            assert out.probes == 2 * out.iterations
+            assert out.probes == 2 * expected_ternary_iterations(omega)
 
     def test_degenerate_pilot_raises(self, clean_ds, models):
         ctx, _, _ = build_clean_context(clean_ds, 17, 1e-9, 400, 50, 3, models)
