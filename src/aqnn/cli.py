@@ -226,6 +226,11 @@ def _parse_grid(raw: str) -> tuple:
 
 def _cmd_bench(args) -> int:
     seed = _seed_from(args)
+    if args.data is not None and args.sweep == "dataset_size":
+        raise UsageError(
+            "--data cannot be combined with --sweep dataset_size, "
+            "whose passes generate their own populations"
+        )
     sweep = None
     if args.sweep is not None:
         if args.grid is None:
@@ -273,6 +278,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ht(args) -> int:
     seed = _seed_from(args)
+    if args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     ds = _load_or_generate(args, seed)
     queries = _resolve_queries(args.queries, len(ds), seed)
     lo, hi, step = args.factors

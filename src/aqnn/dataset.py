@@ -10,10 +10,11 @@ attribute bounds, then one object per line::
     {"feature_dim": 4, "embedding_dim": 4, "attr_bounds": [50.0, 120.0]}
     {"id": 0, "attr": 71.0, "features": [...], "oracle_emb": [...], "proxy_emb": [...]}
 
-``oracle_emb`` / ``proxy_emb`` are optional but must be present either on
-every record or on none. When the header omits ``attr_bounds`` they are
-derived from the data, which weakens any error guarantee computed from them;
-the bounds calculators warn in that case.
+Every record must carry ``attr``, ``features``, ``oracle_emb`` and
+``proxy_emb``; a record missing one is a ``DataError`` naming its line.
+``feature_dim`` and ``embedding_dim`` are positive integers. When the header omits
+``attr_bounds`` they are derived from the data, which weakens any error
+guarantee computed from them; the bounds calculators warn in that case.
 """
 
 from __future__ import annotations
@@ -35,67 +36,56 @@ _WITHIN_CLUSTER_SCALE = 1.0
 
 @dataclass(frozen=True)
 class DataObject:
-    """One population member: identity, target attribute, embeddings."""
+    """One population member: identity, target attribute, both embeddings."""
 
     id: int
     attr_value: float
-    oracle_embedding: np.ndarray | None = None
-    proxy_embedding: np.ndarray | None = None
+    oracle_embedding: np.ndarray
+    proxy_embedding: np.ndarray
 
 
 class Dataset:
     """The population: columnar storage with per-row ``DataObject`` views.
 
-    Object ids are dense in ``[0, n)`` by construction. All arrays are
-    frozen after construction, so a dataset can be shared across
-    concurrently running experiment cells.
+    Object ids are dense in ``[0, n)`` by construction. All four columns
+    are required: ``features`` is (n, feature_dim), ``oracle_emb`` and
+    ``proxy_emb`` are (n, embedding_dim). ``bounds_source`` is ``"data"``
+    when ``attr_bounds`` is omitted and derived from ``attrs``, and
+    ``"declared"`` otherwise. All arrays are frozen after construction, so
+    a dataset can be shared across concurrently running experiment cells.
     """
 
     def __init__(
         self,
         attrs: np.ndarray,
         features: np.ndarray,
-        oracle_emb: np.ndarray | None = None,
-        proxy_emb: np.ndarray | None = None,
+        oracle_emb: np.ndarray,
+        proxy_emb: np.ndarray,
         attr_bounds: tuple[float, float] | None = None,
-        bounds_source: str = "config",
     ):
-        attrs = np.ascontiguousarray(attrs, dtype=np.float64)
-        features = np.ascontiguousarray(features, dtype=np.float64)
+        columns = {
+            name: np.ascontiguousarray(arr, dtype=np.float64)
+            for name, arr in (("attrs", attrs), ("features", features),
+                              ("oracle_emb", oracle_emb), ("proxy_emb", proxy_emb))
+        }
+        attrs, features, oracle_emb, proxy_emb = columns.values()
         if attrs.ndim != 1:
             raise DataError("attrs must be a 1-d array")
-        if features.ndim != 2 or features.shape[0] != attrs.shape[0]:
-            raise DataError("features must be (n, feature_dim) aligned with attrs")
         if attrs.shape[0] == 0:
             raise DataError("empty dataset")
-
-        emb_dim = None
-        for name, emb in (("oracle_emb", oracle_emb), ("proxy_emb", proxy_emb)):
-            if emb is None:
-                continue
-            emb = np.ascontiguousarray(emb, dtype=np.float64)
-            if emb.ndim != 2 or emb.shape[0] != attrs.shape[0]:
-                raise DataError(f"{name} must be (n, embedding_dim) aligned with attrs")
-            if emb_dim is None:
-                emb_dim = emb.shape[1]
-            elif emb.shape[1] != emb_dim:
-                raise DataError("oracle and proxy embeddings must share one dimension")
-            if name == "oracle_emb":
-                oracle_emb = emb
-            else:
-                proxy_emb = emb
-
-        for name, arr in (
-            ("attrs", attrs), ("features", features),
-            ("oracle_emb", oracle_emb), ("proxy_emb", proxy_emb),
-        ):
-            if arr is not None and not np.isfinite(arr).all():
+        for name in ("features", "oracle_emb", "proxy_emb"):
+            if columns[name].ndim != 2 or columns[name].shape[0] != attrs.shape[0]:
+                raise DataError(f"{name} must be a 2-d array aligned with attrs")
+        if oracle_emb.shape[1] != proxy_emb.shape[1]:
+            raise DataError("oracle and proxy embeddings must share one dimension")
+        for name, arr in columns.items():
+            if not np.isfinite(arr).all():
                 bad_rows = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
                 raise DataError(f"{name} row {int(np.argmax(bad_rows))} is not finite")
 
+        self.bounds_source = "data" if attr_bounds is None else "declared"
         if attr_bounds is None:
             attr_bounds = (float(attrs.min()), float(attrs.max()))
-            bounds_source = "data"
         a, b = float(attr_bounds[0]), float(attr_bounds[1])
         lo, hi = float(attrs.min()), float(attrs.max())
         if not (a <= lo and hi <= b):
@@ -108,11 +98,9 @@ class Dataset:
         self.oracle_emb = oracle_emb
         self.proxy_emb = proxy_emb
         self.attr_bounds = (a, b)
-        self.bounds_source = bounds_source
         self.cluster_assignment: np.ndarray | None = None  # set by the generator
-        for arr in (attrs, features, oracle_emb, proxy_emb):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in columns.values():
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.attrs.shape[0]
@@ -126,12 +114,8 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def embedding_dim(self) -> int | None:
-        if self.oracle_emb is not None:
-            return self.oracle_emb.shape[1]
-        if self.proxy_emb is not None:
-            return self.proxy_emb.shape[1]
-        return None
+    def embedding_dim(self) -> int:
+        return self.oracle_emb.shape[1]
 
     def object(self, obj_id: int) -> DataObject:
         i = int(obj_id)
@@ -140,24 +124,18 @@ class Dataset:
         return DataObject(
             id=i,
             attr_value=float(self.attrs[i]),
-            oracle_embedding=None if self.oracle_emb is None else self.oracle_emb[i],
-            proxy_embedding=None if self.proxy_emb is None else self.proxy_emb[i],
+            oracle_embedding=self.oracle_emb[i],
+            proxy_embedding=self.proxy_emb[i],
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-
-        def same(x, y):
-            if x is None or y is None:
-                return x is y
-            return np.array_equal(x, y)
-
         return (
-            same(self.attrs, other.attrs)
-            and same(self.features, other.features)
-            and same(self.oracle_emb, other.oracle_emb)
-            and same(self.proxy_emb, other.proxy_emb)
+            np.array_equal(self.attrs, other.attrs)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.oracle_emb, other.oracle_emb)
+            and np.array_equal(self.proxy_emb, other.proxy_emb)
             and self.attr_bounds == other.attr_bounds
         )
 
@@ -235,7 +213,6 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
         oracle_emb=oracle,
         proxy_emb=proxy,
         attr_bounds=cfg.attr_bounds,
-        bounds_source="config",
     )
     ds.cluster_assignment = assign
     ds.cluster_assignment.setflags(write=False)
@@ -246,16 +223,14 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
 _NUMBER = (int, float)
 
 
-def _header_dim(header: dict, key: str, minimum: int, line_no: int) -> int:
+def _header_dim(header: dict, key: str, line_no: int) -> int:
     dim = header[key]
-    if type(dim) is not int or dim < minimum:
-        raise DataError(f"line {line_no}: {key} must be an integer >= {minimum}, got {dim!r}")
+    if type(dim) is not int or dim < 1:
+        raise DataError(f"line {line_no}: {key} must be an integer >= 1, got {dim!r}")
     return dim
 
 
-def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray | None:
-    if key not in record:
-        return None
+def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray:
     vec = record[key]
     if not isinstance(vec, list) or not all(type(x) in _NUMBER for x in vec):
         raise DataError(f"line {line_no}: {key} must be a list of numbers")
@@ -271,7 +246,6 @@ def load_dataset(path: str) -> Dataset:
     features: list[np.ndarray] = []
     oracle_rows: list[np.ndarray] = []
     proxy_rows: list[np.ndarray] = []
-    has_oracle = has_proxy = None
 
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -291,32 +265,20 @@ def load_dataset(path: str) -> Dataset:
                         f"line {line_no}: header must declare feature_dim and embedding_dim"
                     )
                 header = record
-                feature_dim = _header_dim(record, "feature_dim", 1, line_no)
-                # 0 declares a file without embedding columns, as save_dataset writes it
-                embedding_dim = _header_dim(record, "embedding_dim", 0, line_no)
+                feature_dim = _header_dim(record, "feature_dim", line_no)
+                embedding_dim = _header_dim(record, "embedding_dim", line_no)
                 continue
 
-            if "attr" not in record or "features" not in record:
-                raise DataError(f"line {line_no}: record needs 'attr' and 'features'")
+            if not record.keys() >= {"attr", "features", "oracle_emb", "proxy_emb"}:
+                raise DataError(
+                    f"line {line_no}: record needs attr, features, oracle_emb, proxy_emb"
+                )
             if type(record["attr"]) not in _NUMBER:
                 raise DataError(f"line {line_no}: attr must be a number")
-            feat = _parse_vector(record, "features", feature_dim, line_no)
-            o_emb = _parse_vector(record, "oracle_emb", embedding_dim, line_no)
-            p_emb = _parse_vector(record, "proxy_emb", embedding_dim, line_no)
-
-            if has_oracle is None:
-                has_oracle, has_proxy = o_emb is not None, p_emb is not None
-            if (o_emb is not None) != has_oracle or (p_emb is not None) != has_proxy:
-                raise DataError(
-                    f"line {line_no}: embedding columns must be present on all records or none"
-                )
-
             attrs.append(float(record["attr"]))
-            features.append(feat)
-            if o_emb is not None:
-                oracle_rows.append(o_emb)
-            if p_emb is not None:
-                proxy_rows.append(p_emb)
+            features.append(_parse_vector(record, "features", feature_dim, line_no))
+            oracle_rows.append(_parse_vector(record, "oracle_emb", embedding_dim, line_no))
+            proxy_rows.append(_parse_vector(record, "proxy_emb", embedding_dim, line_no))
 
     if header is None or not attrs:
         raise DataError("empty dataset")
@@ -334,19 +296,17 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(
         attrs=np.asarray(attrs),
         features=np.vstack(features),
-        oracle_emb=np.vstack(oracle_rows) if oracle_rows else None,
-        proxy_emb=np.vstack(proxy_rows) if proxy_rows else None,
+        oracle_emb=np.vstack(oracle_rows),
+        proxy_emb=np.vstack(proxy_rows),
         attr_bounds=bounds,
-        bounds_source="file" if bounds is not None else "data",
     )
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the JSONL form; loading it back yields an equal Dataset."""
-    emb_dim = ds.embedding_dim if ds.embedding_dim is not None else 0
     header = {
         "feature_dim": ds.feature_dim,
-        "embedding_dim": emb_dim,
+        "embedding_dim": ds.embedding_dim,
         "attr_bounds": list(ds.attr_bounds),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -356,9 +316,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
                 "id": i,
                 "attr": float(ds.attrs[i]),
                 "features": ds.features[i].tolist(),
+                "oracle_emb": ds.oracle_emb[i].tolist(),
+                "proxy_emb": ds.proxy_emb[i].tolist(),
             }
-            if ds.oracle_emb is not None:
-                record["oracle_emb"] = ds.oracle_emb[i].tolist()
-            if ds.proxy_emb is not None:
-                record["proxy_emb"] = ds.proxy_emb[i].tolist()
             fh.write(json.dumps(record) + "\n")

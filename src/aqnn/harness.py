@@ -611,6 +611,8 @@ def run_ht_protocol(
     """
     if agg not in ("AVG", "PCT"):
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
+    if k_samples < 1:
+        raise ValueError(f"k_samples must be at least 1, got {k_samples}")
     oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 

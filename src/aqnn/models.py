@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataObject, Dataset
-from .errors import DataError
 
 
 class CallLedger:
@@ -55,8 +54,6 @@ class EmbeddingModel:
     def embed(self, obj: DataObject, ledger: CallLedger) -> np.ndarray:
         """Embed one object, charging the ledger at most once for it."""
         emb = obj.oracle_embedding if self.role == "oracle" else obj.proxy_embedding
-        if emb is None:
-            raise DataError(f"object {obj.id} has no stored {self.role} embedding")
         ledger.charge(self.role, obj.id)
         return np.asarray(emb, dtype=np.float64)
 
@@ -80,8 +77,6 @@ def embed_many(
     ids = np.asarray(ids, dtype=np.int64)
     ledger.charge(model.role, ids)
     matrix = ds.oracle_emb if model.role == "oracle" else ds.proxy_emb
-    if matrix is None:
-        raise DataError(f"dataset has no stored {model.role} embeddings")
     return matrix[ids]
 
 

@@ -326,6 +326,21 @@ class TestBenchCommand:
         assert code == 1
         assert "--grid" in err
 
+    def test_data_with_dataset_size_sweep_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import aqnn.cli
+
+        path = tmp_path / "small.jsonl"
+        save_dataset(generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5)), str(path))
+        loads = []
+        monkeypatch.setattr(aqnn.cli, "_load_or_generate", lambda *a: loads.append(a))
+        code, _, err = run_cli(
+            capsys, "bench", "--data", str(path), "--sweep", "dataset_size",
+            "--grid", "100,200", "--s", "50", "--sp", "20", "--trials", "1", "--queries", "3",
+        )
+        assert code == 1
+        assert "--data cannot be combined with --sweep dataset_size" in err
+        assert loads == []
+
 
 class TestHtCommand:
     def test_json_output_schema(self, capsys):
@@ -348,8 +363,52 @@ class TestHtCommand:
         assert code == 1
         assert "query target 300 outside population 300" in err
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_k_is_usage_error(self, tmp_path, capsys, k):
+        path = tmp_path / "small.jsonl"
+        save_dataset(generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5)), str(path))
+        code, _, err = run_cli(
+            capsys, "ht", "--data", str(path), "--queries", "3", "--s", "50", "--sp", "20",
+            "--k", k,
+        )
+        assert code == 1
+        assert f"--k must be at least 1, got {k}" in err
+
     def test_bad_op_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "ht", "--n", "200", "--ops", "xx", "--s", "50", "--sp", "20"
         )
         assert code == 1
+
+
+class TestFeaturesOnlyFile:
+    """A file without both embedding columns stops at load, on every command."""
+
+    FILES = {
+        "header_dim_0": (
+            '{"feature_dim": 2, "embedding_dim": 0}\n'
+            '{"attr": 1.0, "features": [1, 0]}\n',
+            "line 1: embedding_dim must be an integer >= 1, got 0",
+        ),
+        "record_without_embeddings": (
+            '{"feature_dim": 2, "embedding_dim": 2}\n'
+            '{"attr": 1.0, "features": [1, 0], "oracle_emb": [1, 0], "proxy_emb": [1, 0]}\n'
+            '{"attr": 2.0, "features": [0, 1]}\n',
+            "line 3: record needs attr, features, oracle_emb, proxy_emb",
+        ),
+    }
+    COMMANDS = {
+        "query": ["query", "--q-id", "0", "--s", "1", "--sp", "1"],
+        "bench": ["bench", "--queries", "0", "--s", "1", "--sp", "1", "--trials", "1"],
+        "ht": ["ht", "--queries", "0", "--s", "1", "--sp", "1", "--k", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, command, name):
+        text, message = self.FILES[name]
+        path = tmp_path / "features_only.jsonl"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, *self.COMMANDS[command], "--data", str(path))
+        assert code == 2
+        assert message in err

@@ -1,26 +1,33 @@
-"""Names other code depends on must keep resolving.
+"""Names and formats other code depends on must keep working.
 
 ``aqnn.__all__`` is the package's public surface; ``bench/spans.py``
 traces functions by (module, attribute path), and a name it cannot find
-would otherwise fail only in a traced benchmark run.
+would otherwise fail only in a traced benchmark run. ``bench/inputs.py``
+writes the benchmark's JSONL populations with its own writer, so a loader
+that stopped reading them would otherwise fail only in a benchmark run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aqnn
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _span_targets():
-    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(module, path) for _, module, path, *_ in spans.TARGETS]
+    return [(module, path) for _, module, path, *_ in _bench_module("spans").TARGETS]
 
 
 @pytest.mark.parametrize("name", aqnn.__all__)
@@ -34,3 +41,17 @@ def test_traced_name_resolves(module, path):
     for part in path.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_benchmark_input_file_loads(tmp_path):
+    inputs = _bench_module("inputs")
+    pop = inputs.population(50, seed=3)
+    path = tmp_path / "bench.jsonl"
+    inputs.write_jsonl(pop, str(path))
+    ds = aqnn.load_dataset(str(path))
+    assert np.array_equal(ds.attrs, pop["attrs"])
+    assert np.array_equal(ds.features, pop["oracle"])
+    assert np.array_equal(ds.oracle_emb, pop["oracle"])
+    assert np.array_equal(ds.proxy_emb, pop["proxy"])
+    assert ds.attr_bounds == inputs.ATTR_BOUNDS
+    assert ds.bounds_source == "declared"

@@ -52,8 +52,8 @@ class TestLoadDataset:
         header = {"feature_dim": 4, "embedding_dim": 4}
         rows = [header]
         for i in range(3):
-            rows.append({"id": i, "attr": 1.0, "features": [0.0] * 4})
-        rows.append({"id": 3, "attr": 1.0, "features": [0.0] * 5})
+            rows.append(_record(i, 1.0, [0.0] * 4))
+        rows.append({**_record(3, 1.0, [0.0] * 4), "features": [0.0] * 5})
         _write_lines(path, rows)
         with pytest.raises(DataError, match="line 5.*length 5, expected 4"):
             load_dataset(str(path))
@@ -101,7 +101,8 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "key,value",
         [("feature_dim", 2.7), ("feature_dim", "x"), ("feature_dim", 0),
-         ("feature_dim", True), ("embedding_dim", 2.0), ("embedding_dim", -1)],
+         ("feature_dim", True), ("embedding_dim", 2.0), ("embedding_dim", -1),
+         ("embedding_dim", 0)],
     )
     def test_header_dims_must_be_integers(self, tmp_path, key, value):
         path = tmp_path / "dims.jsonl"
@@ -116,12 +117,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="attr_bounds must be"):
             load_dataset(str(path))
 
-    def test_roundtrip_without_embeddings(self, tmp_path):
-        # save_dataset writes embedding_dim 0 when there are no embedding columns
-        ds = Dataset(attrs=np.array([1.0, 2.0]), features=np.eye(2))
+    @pytest.mark.parametrize("column", ["oracle_emb", "proxy_emb"])
+    def test_record_without_embedding_rejected(self, tmp_path, column):
         path = tmp_path / "plain.jsonl"
-        save_dataset(ds, str(path))
-        assert load_dataset(str(path)) == ds
+        missing = _record(1, 2.0, [1.0, 1.0])
+        del missing[column]
+        _write_lines(path, [HEADER, _record(0, 1.0, [0.0, 0.0]), missing])
+        with pytest.raises(DataError, match="line 3: record needs attr, features, "
+                                            "oracle_emb, proxy_emb"):
+            load_dataset(str(path))
 
     def test_roundtrip_equality(self, tmp_path):
         cfg = SyntheticGenConfig(n_objects=40, embedding_dim=3, n_clusters=4,
@@ -206,7 +210,8 @@ class TestAttributeBounds:
         assert ds.attr_bounds == (50.0, 120.0)
 
     def test_single_object_auto_bounds(self):
-        ds = Dataset(attrs=np.array([7.0]), features=np.zeros((1, 2)))
+        zeros = np.zeros((1, 2))
+        ds = Dataset(attrs=np.array([7.0]), features=zeros, oracle_emb=zeros, proxy_emb=zeros)
         assert ds.attr_bounds == (7.0, 7.0)
 
     def test_generated_bounds_pass_through(self):
@@ -225,6 +230,8 @@ class TestDatasetInvariants:
             Dataset(
                 attrs=np.array([1.0, 50.0]),
                 features=np.zeros((2, 2)),
+                oracle_emb=np.zeros((2, 2)),
+                proxy_emb=np.zeros((2, 2)),
                 attr_bounds=(0.0, 10.0),
             )
 

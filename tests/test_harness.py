@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from aqnn import QuerySpec, SprintConfig, SyntheticGenConfig, generate_synthetic
-from aqnn.dataset import Dataset
+from aqnn.dataset import Dataset, load_dataset, save_dataset
 from aqnn.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -287,6 +289,33 @@ class TestCoverage:
         assert result.coverage < 0.95
 
 
+class TestBoundsProvenance:
+    """``coverage_check`` warns exactly when the attribute bounds come from the data."""
+
+    def _coverage(self, ds):
+        return coverage_check(ds, QuerySpec(q_id=3, r=5.0, agg="AVG"), alpha=0.05,
+                              omega_s=200.0, omega_nn=100.0, trials=2, seed=0)
+
+    def test_bounds_derived_from_data_warn(self, small_ds):
+        ds = Dataset(small_ds.attrs, small_ds.features, small_ds.oracle_emb, small_ds.proxy_emb)
+        assert ds.bounds_source == "data"
+        with pytest.warns(UserWarning, match="derived from the data"):
+            self._coverage(ds)
+
+    @pytest.mark.parametrize("source", ["generated", "file"])
+    def test_declared_bounds_do_not_warn(self, small_ds, tmp_path, source):
+        ds = small_ds
+        if source == "file":
+            path = tmp_path / "declared.jsonl"
+            save_dataset(small_ds, str(path))
+            ds = load_dataset(str(path))
+        assert ds.bounds_source == "declared"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._coverage(ds)
+        assert not [w for w in caught if "derived from the data" in str(w.message)]
+
+
 class TestHtProtocol:
     def test_far_factors_agree_perfectly(self, small_ds):
         out = run_ht_protocol(
@@ -315,3 +344,14 @@ class TestHtProtocol:
         )
         assert out["mean_accuracy"] is not None
         assert 0.0 <= out["mean_accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_samples_checked_before_ground_truth(self, small_ds, monkeypatch, k):
+        import aqnn.harness
+
+        calls = []
+        monkeypatch.setattr(aqnn.harness, "ground_truth", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=f"k_samples must be at least 1, got {k}"):
+            run_ht_protocol(small_ds, query_ids=[3], r=5.0, agg="AVG",
+                            sprint_cfg=SprintConfig(s=250, s_p=80, seed=0), k_samples=k)
+        assert calls == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aqnn import CallLedger, DataError, embed_many, oracle_model, proxy_model, speedup
+from aqnn import CallLedger, embed_many, speedup
 from aqnn.sprint import resolve_query_object
 
 
@@ -42,13 +42,6 @@ class TestEmbedAccounting:
             assert l1.as_dict() == l2.as_dict()
             calls = l1.oracle_calls if model.role == "oracle" else l1.proxy_calls
             assert calls == 5 and sum(l1.as_dict().values()) == 5
-
-    def test_missing_stored_embedding_names_object(self):
-        from aqnn import Dataset
-
-        ds = Dataset(attrs=np.array([1.0]), features=np.zeros((1, 2)))
-        with pytest.raises(DataError, match="object 0 has no stored oracle"):
-            oracle_model().embed(ds.object(0), CallLedger())
 
 
 class TestSpeedup:
