@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
 
@@ -19,8 +20,9 @@ from .aggregate import AGGREGATIONS, SCOPE_SAMPLE, AggregationContext, aggregate
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import SyntheticGenConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import DataError, DegenerateNeighborhoodError, UsageError
+from .frnn import VALID_METRICS, prf1
 from .harness import (
-    DEFAULT_COST_RATIO,
+    SWEEP_AXES,
     ExperimentConfig,
     SweepSpec,
     canonical_json,
@@ -30,9 +32,7 @@ from .harness import (
 )
 from .models import oracle_model, proxy_model
 from .seeding import spawn_rng
-from .frnn import prf1
 from .sprint import ALGORITHMS, QuerySpec, SprintConfig, select_neighbors
-from .stats import OPS
 
 _EXIT_BY_ERROR = {UsageError: 1, DataError: 2, DegenerateNeighborhoodError: 3}
 
@@ -54,47 +54,48 @@ def _seed_from(args) -> int:
     return 0
 
 
+def _from_flags(target, args, **given):
+    """Call ``target`` (a config class or a function) with ``given`` plus
+    every parsed flag whose dest names one of its parameters.
+
+    A flag left unset parses as None and is left out, so the parameter keeps
+    the default ``target`` declares; lists become tuples.
+    """
+    params = inspect.signature(target).parameters
+    flags = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in params and value is not None
+    }
+    return target(**{**flags, **given})
+
+
+def _csv(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def _flag(p: argparse.ArgumentParser, flag: str, dest: str, **kwargs) -> None:
+    """Add ``flag`` filling parameter ``dest``; help names it after the flag."""
+    p.add_argument(flag, dest=dest, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=10000, help="number of objects")
-    p.add_argument("--dim", type=int, default=16, help="embedding dimension")
-    p.add_argument("--clusters", type=int, default=8, help="mixture components")
-    p.add_argument("--proxy-noise", type=float, default=0.0, help="proxy noise sigma")
-    p.add_argument("--attr-mean", type=float, default=80.0)
-    p.add_argument("--attr-sd", type=float, default=10.0)
-    p.add_argument("--attr-shift", type=float, default=0.0,
-                   help="attribute mean offset of cluster 0")
-    p.add_argument("--bounds", type=float, nargs=2, default=(50.0, 120.0),
+    _flag(p, "--n", "n_objects", type=int, default=10000, help="number of objects")
+    _flag(p, "--dim", "embedding_dim", type=int, help="embedding dimension")
+    _flag(p, "--clusters", "n_clusters", type=int, help="mixture components")
+    _flag(p, "--proxy-noise", "proxy_noise_sigma", type=float, help="proxy noise sigma")
+    _flag(p, "--attr-mean", "attr_global_mean", type=float)
+    _flag(p, "--attr-sd", "attr_global_sd", type=float)
+    _flag(p, "--attr-shift", "attr_neighborhood_shift", type=float,
+          help="attribute mean offset of cluster 0")
+    p.add_argument("--bounds", type=float, nargs=2, dest="attr_bounds",
                    metavar=("A", "B"), help="attribute bounds")
-
-
-def _gen_config(args, seed: int) -> SyntheticGenConfig:
-    try:
-        return SyntheticGenConfig(
-            n_objects=args.n,
-            embedding_dim=args.dim,
-            n_clusters=args.clusters,
-            proxy_noise_sigma=args.proxy_noise,
-            attr_global_mean=args.attr_mean,
-            attr_global_sd=args.attr_sd,
-            attr_neighborhood_shift=args.attr_shift,
-            attr_bounds=tuple(args.bounds),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _sprint_config(args, seed: int) -> SprintConfig:
-    return SprintConfig(
-        s=args.s, s_p=args.sp, omega_v=args.omega_v, omega_c=args.omega_c,
-        alpha=args.alpha, max_iters=args.max_iters, seed=seed,
-    )
 
 
 def _load_or_generate(args, seed: int):
     if args.data is not None:
         return load_dataset(args.data)
-    return generate_synthetic(_gen_config(args, seed))
+    return generate_synthetic(_from_flags(SyntheticGenConfig, args, seed=seed))
 
 
 def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
@@ -116,7 +117,7 @@ def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
 
 def _cmd_gen(args) -> int:
     seed = _seed_from(args)
-    ds = generate_synthetic(_gen_config(args, seed))
+    ds = generate_synthetic(_from_flags(SyntheticGenConfig, args, seed=seed))
     save_dataset(ds, args.out)
     if args.json:
         sys.stdout.write(canonical_json({
@@ -135,24 +136,24 @@ def _cmd_gen(args) -> int:
 def _cmd_query(args) -> int:
     seed = _seed_from(args)
     ds = _load_or_generate(args, seed)
-    cfg = _sprint_config(args, seed)
+    cfg = _from_flags(SprintConfig, args, seed=seed)
     if cfg.s > len(ds):
         raise UsageError(f"--s {cfg.s} exceeds population {len(ds)}")
     q_id = args.q_id
     if q_id is None:
         q_id = int(spawn_rng(seed, "query-targets").integers(0, len(ds)))
-    query = QuerySpec(q_id=q_id, r=args.radius, agg=args.agg, metric=args.metric)
+    query = _from_flags(QuerySpec, args, q_id=q_id)
     res = select_neighbors(query, cfg, ds, oracle_model(), proxy_model())
 
     members = res.neighbors.member_ids
     est_ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
-    estimate = aggregate(args.agg, ds.attrs[members], len(members), est_ctx)
+    estimate = aggregate(query.agg, ds.attrs[members], len(members), est_ctx)
 
     payload = {
         "query_id": int(q_id),
-        "agg": args.agg,
-        "radius": args.radius,
-        "metric": args.metric,
+        "agg": query.agg,
+        "radius": query.r,
+        "metric": query.metric,
         "estimate": estimate,
         "selected": len(members),
         "t_star": res.t_star,
@@ -163,8 +164,8 @@ def _cmd_query(args) -> int:
         "seed": seed,
     }
     if args.truth:
-        gt = ground_truth(ds, query, [args.agg])
-        truth_val = gt.agg_values[args.agg]
+        gt = ground_truth(ds, query, [query.agg])
+        truth_val = gt.agg_values[query.agg]
         if truth_val is None:
             raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
         p, r, f1 = prf1(res.neighbors, gt.within(res.sample_ids))
@@ -184,18 +185,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        inp = BoundsInput(
-            alpha=args.alpha, rho=args.rho, a=args.a, b=args.b,
-            omega_s=args.omega_s, omega_nn=args.omega_nn, omega_c=args.omega_c,
-            lambda_=args.lambda_, population_size_D=args.d_size,
-            avg_s_abs=args.avg_s, on_d_size=args.on_d,
-        )
-        out = min_sizes(args.agg, inp)
-        if args.reconcile:
-            out = reconcile_sizes(out)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    out = min_sizes(args.agg, _from_flags(BoundsInput, args))
+    if args.reconcile:
+        out = reconcile_sizes(out)
 
     payload = {
         "agg": args.agg,
@@ -238,27 +230,18 @@ def _cmd_bench(args) -> int:
         sweep = SweepSpec(axis=args.sweep, grid=_parse_grid(args.grid))
     # dataset_size passes generate their own populations; random targets come from the smallest
     ds = None if args.sweep == "dataset_size" else _load_or_generate(args, seed)
-    n = len(ds) if ds is not None else min(args.n, int(sweep.grid[0]))
-    queries = _resolve_queries(args.queries, n, seed)
-    try:
-        cfg = ExperimentConfig(
-            dataset=ds,
-            query_ids=queries,
-            r=args.radius,
-            aggs=[a.strip().upper() for a in args.agg.split(",") if a.strip()],
-            algorithms=[a.strip() for a in args.algorithms.split(",") if a.strip()],
-            sprint=_sprint_config(args, seed),
-            trials=args.trials,
-            seed=seed,
-            metric=args.metric,
-            cost_ratio=args.cost_ratio,
-            sweep=sweep,
-            gen_config=_gen_config(args, seed) if args.data is None else None,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    report = run_experiment(cfg, parallel=args.parallel)
+    n = len(ds) if ds is not None else min(args.n_objects, int(sweep.grid[0]))
+    cfg = _from_flags(
+        ExperimentConfig, args,
+        dataset=ds,
+        query_ids=_resolve_queries(args.queries, n, seed),
+        sprint=_from_flags(SprintConfig, args, seed=seed),
+        seed=seed,
+        sweep=sweep,
+        gen_config=(None if args.data is not None
+                    else _from_flags(SyntheticGenConfig, args, seed=seed)),
+    )
+    report = _from_flags(run_experiment, args, cfg=cfg)
     text = report.to_json(include_timing=args.timings)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -276,33 +259,27 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_ht(args) -> int:
-    seed = _seed_from(args)
-    if args.k < 1:
-        raise UsageError(f"--k must be at least 1, got {args.k}")
-    ds = _load_or_generate(args, seed)
-    queries = _resolve_queries(args.queries, len(ds), seed)
-    lo, hi, step = args.factors
+def _factor_grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to the last value not above hi (within float error)."""
     if step <= 0 or hi < lo:
         raise UsageError("--factors needs LO HI STEP with STEP > 0 and HI >= LO")
-    n_steps = int(round((hi - lo) / step))
-    factors = [round(lo + i * step, 10) for i in range(n_steps + 1)]
-    ops = [o.strip() for o in args.ops.split(",") if o.strip()]
-    for op in ops:
-        if op not in OPS:
-            raise UsageError(f"op must be one of {OPS}, got {op!r}")
+    n_steps = int((hi - lo) / step + 1e-9)
+    return [round(lo + i * step, 10) for i in range(n_steps + 1)]
 
-    result = run_ht_protocol(
-        ds,
-        queries,
-        r=args.radius,
-        agg=args.agg,
-        sprint_cfg=_sprint_config(args, seed),
-        factors=factors,
-        ops=ops,
-        k_samples=args.k,
-        alpha=args.alpha,
-        metric=args.metric,
+
+def _cmd_ht(args) -> int:
+    seed = _seed_from(args)
+    if args.k_samples is not None and args.k_samples < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k_samples}")
+    ds = _load_or_generate(args, seed)
+    cfg = _from_flags(SprintConfig, args, seed=seed)
+    result = _from_flags(
+        run_ht_protocol, args,
+        ds=ds,
+        query_ids=_resolve_queries(args.queries, len(ds), seed),
+        sprint_cfg=cfg,
+        factors=_factor_grid(*args.factors) if args.factors is not None else None,
+        alpha=cfg.alpha,
         seed=seed,
     )
     if args.json:
@@ -314,20 +291,20 @@ def _cmd_ht(args) -> int:
     return 0
 
 
-def _add_sprint_flags(p: argparse.ArgumentParser, s_default: int, sp_default: int) -> None:
-    p.add_argument("--s", type=int, default=s_default, help="sample size")
-    p.add_argument("--sp", type=int, default=sp_default, help="pilot sample size")
-    p.add_argument("--omega-v", type=float, default=0.01, dest="omega_v")
-    p.add_argument("--omega-c", type=float, default=0.01, dest="omega_c")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-iters", type=int, default=30, dest="max_iters")
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
-    p.add_argument("--radius", type=float, default=6.0)
+def _add_sprint_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--s", type=int, default=1000, help="sample size")
+    _flag(p, "--sp", "s_p", type=int, default=200, help="pilot sample size")
+    p.add_argument("--omega-v", type=float)
+    p.add_argument("--omega-c", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--metric", choices=VALID_METRICS)
+    _flag(p, "--radius", "r", type=float, default=6.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aqnn", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="root seed (or AQNN_SEED)")
+    parser.add_argument("--seed", type=int, help="root seed (or AQNN_SEED)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen",
@@ -339,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query",
                              help="answer one aggregation query end to end")
-    p_query.add_argument("--data", default=None, help="JSONL dataset (default: generate)")
+    p_query.add_argument("--data", help="JSONL dataset (default: generate)")
     _add_gen_flags(p_query)
-    _add_sprint_flags(p_query, s_default=1000, sp_default=200)
-    p_query.add_argument("--q-id", type=int, default=None, dest="q_id")
+    _add_sprint_flags(p_query)
+    p_query.add_argument("--q-id", type=int)
     p_query.add_argument("--agg", choices=AGGREGATIONS, default="AVG")
     p_query.add_argument("--truth", action="store_true",
                          help="also compute the brute-force truth and error metrics")
@@ -352,58 +329,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds",
                               help="minimum sample/pilot sizes for tolerances")
     p_bounds.add_argument("--agg", choices=AGGREGATIONS, required=True)
-    p_bounds.add_argument("--alpha", type=float, default=0.05)
-    p_bounds.add_argument("--rho", type=float, default=1.0)
-    p_bounds.add_argument("--a", type=float, default=0.0)
-    p_bounds.add_argument("--b", type=float, default=1.0)
-    p_bounds.add_argument("--omega-s", type=float, default=0.05, dest="omega_s")
-    p_bounds.add_argument("--omega-nn", type=float, default=0.1, dest="omega_nn")
-    p_bounds.add_argument("--omega-c", type=float, default=0.0, dest="omega_c")
-    p_bounds.add_argument("--lambda", type=float, default=1.0, dest="lambda_")
-    p_bounds.add_argument("--d-size", type=int, default=1, dest="d_size")
-    p_bounds.add_argument("--avg-s", type=float, default=None, dest="avg_s")
-    p_bounds.add_argument("--on-d", type=int, default=None, dest="on_d")
+    p_bounds.add_argument("--alpha", type=float)
+    p_bounds.add_argument("--rho", type=float)
+    p_bounds.add_argument("--a", type=float)
+    p_bounds.add_argument("--b", type=float)
+    p_bounds.add_argument("--omega-s", type=float)
+    p_bounds.add_argument("--omega-nn", type=float)
+    p_bounds.add_argument("--omega-c", type=float)
+    p_bounds.add_argument("--lambda", type=float, dest="lambda_")
+    _flag(p_bounds, "--d-size", "population_size_D", type=int)
+    _flag(p_bounds, "--avg-s", "avg_s_abs", type=float)
+    _flag(p_bounds, "--on-d", "on_d_size", type=int)
     p_bounds.add_argument("--reconcile", action="store_true")
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_bench = sub.add_parser("bench",
                              help="run the experiment harness")
-    p_bench.add_argument("--data", default=None)
+    p_bench.add_argument("--data")
     _add_gen_flags(p_bench)
-    _add_sprint_flags(p_bench, s_default=1000, sp_default=200)
+    _add_sprint_flags(p_bench)
     p_bench.add_argument("--queries", default="random:10")
-    p_bench.add_argument("--agg", default="AVG", help="comma-separated aggregations")
+    _flag(p_bench, "--agg", "aggs", type=lambda raw: _csv(raw.upper()), default="AVG",
+          help="comma-separated aggregations")
     p_bench.add_argument(
-        "--algorithms", default="sprint_v,sprint_c,two_phase",
+        "--algorithms", type=_csv, default="sprint_v,sprint_c,two_phase",
         help="comma-separated, from: "
         + ", ".join("pqe_pt_fixed:<t>" if a == "pqe_pt_fixed" else a for a in ALGORITHMS),
     )
-    p_bench.add_argument("--trials", type=int, default=30)
-    p_bench.add_argument("--cost-ratio", type=float, default=DEFAULT_COST_RATIO, dest="cost_ratio",
+    p_bench.add_argument("--trials", type=int)
+    p_bench.add_argument("--cost-ratio", type=float,
                          help="oracle call cost in proxy-call units, for speedup")
-    p_bench.add_argument("--sweep", choices=("dataset_size", "sample_size", "pilot_size", "radius"),
-                         default=None)
-    p_bench.add_argument("--grid", default=None, help="comma-separated sweep grid")
-    p_bench.add_argument("--parallel", type=int, default=0)
+    p_bench.add_argument("--sweep", choices=SWEEP_AXES)
+    p_bench.add_argument("--grid", help="comma-separated sweep grid")
+    p_bench.add_argument("--parallel", type=int)
     p_bench.add_argument("--timings", action="store_true",
                          help="include wall-clock times (not byte-reproducible)")
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--csv", default=None)
+    p_bench.add_argument("--out")
+    p_bench.add_argument("--csv")
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_ht = sub.add_parser("ht",
                           help="hypothesis-testing accuracy protocol")
-    p_ht.add_argument("--data", default=None)
+    p_ht.add_argument("--data")
     _add_gen_flags(p_ht)
-    _add_sprint_flags(p_ht, s_default=1000, sp_default=200)
+    _add_sprint_flags(p_ht)
     p_ht.add_argument("--queries", default="random:10")
     p_ht.add_argument("--agg", choices=("AVG", "PCT"), default="AVG")
-    p_ht.add_argument("--factors", type=float, nargs=3, default=(0.5, 1.5, 0.05),
-                      metavar=("LO", "HI", "STEP"))
-    p_ht.add_argument("--ops", default="ge,le")
-    p_ht.add_argument("--k", type=int, default=30, help="samples per cell")
+    p_ht.add_argument("--factors", type=float, nargs=3, metavar=("LO", "HI", "STEP"))
+    p_ht.add_argument("--ops", type=_csv)
+    _flag(p_ht, "--k", "k_samples", type=int, help="samples per cell")
     p_ht.add_argument("--json", action="store_true")
     p_ht.set_defaults(func=_cmd_ht)
     return parser

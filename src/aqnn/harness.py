@@ -41,12 +41,9 @@ from .sprint import (
     select,
     select_neighbors,
 )
-from .stats import Hypothesis, ht_accuracy, t_test_one_sample, z_test_proportion
+from .stats import OPS, Hypothesis, ht_accuracy, t_test_one_sample, z_test_proportion
 
 SWEEP_AXES = ("dataset_size", "sample_size", "pilot_size", "radius")
-
-# One oracle call in proxy calls; conservative, observed gaps run 2-10x.
-DEFAULT_COST_RATIO = 2.0
 
 
 def canonical_json(payload) -> str:
@@ -95,8 +92,8 @@ class ExperimentConfig:
     sprint: SprintConfig
     trials: int = 30
     seed: int = 0
-    metric: str = "euclidean"
-    cost_ratio: float = DEFAULT_COST_RATIO
+    metric: str = QuerySpec.metric
+    cost_ratio: float = 2.0  # oracle call cost in proxy calls; conservative (gaps run 2-10x)
     sweep: SweepSpec | None = None
     gen_config: SyntheticGenConfig | None = None  # required for dataset_size sweeps
 
@@ -109,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("need at least one query target")
         if not self.aggs:
             raise ValueError("need at least one aggregation")
+        if not self.algorithms:
+            raise ValueError("need at least one algorithm")
         for spec in self.algorithms:
             parse_algorithm(spec)
         if self.dataset is None and self.gen_config is None:
@@ -364,6 +363,8 @@ def _summarize(cfg: ExperimentConfig, ds: Dataset, cells: list[CellResult]) -> d
 
 
 def _config_digest(cfg: ExperimentConfig, ds: Dataset) -> dict:
+    sprint = asdict(cfg.sprint)
+    del sprint["seed"]  # cells derive their own seeds from the root seed
     return {
         "population_size": len(ds),
         "query_ids": [int(q) for q in cfg.query_ids],
@@ -371,12 +372,7 @@ def _config_digest(cfg: ExperimentConfig, ds: Dataset) -> dict:
         "metric": cfg.metric,
         "aggs": list(cfg.aggs),
         "algorithms": list(cfg.algorithms),
-        "s": cfg.sprint.s,
-        "s_p": cfg.sprint.s_p,
-        "omega_v": cfg.sprint.omega_v,
-        "omega_c": cfg.sprint.omega_c,
-        "alpha": cfg.sprint.alpha,
-        "max_iters": cfg.sprint.max_iters,
+        **sprint,
         "trials": cfg.trials,
         "cost_ratio": cfg.cost_ratio,
     }
@@ -447,7 +443,10 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
     Passes are prepared first; then each (query, trial) block runs on every
     pass in turn, so host speed drift reaches all passes alike. Cells are
     seeded by (query, trial) alone, so this order changes no output.
+    ``parallel`` above 1 runs the blocks in that many forked workers.
     """
+    if parallel < 0:
+        raise ValueError(f"parallel must be nonnegative, got {parallel}")
     if cfg.sweep is None:
         subs = [cfg]
     else:  # vary every grid value first so a bad one fails before any pass runs
@@ -459,7 +458,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
         for trial in range(cfg.trials)
         for pi in range(len(passes))
     ]
-    if parallel and parallel > 1:
+    if parallel > 1:
         import concurrent.futures
         import multiprocessing
 
@@ -597,8 +596,8 @@ def run_ht_protocol(
     factors: Sequence[float] | None = None,
     ops: Sequence[str] = ("ge", "le"),
     k_samples: int = 30,
-    alpha: float = 0.05,
-    metric: str = "euclidean",
+    alpha: float = SprintConfig.alpha,
+    metric: str = QuerySpec.metric,
     seed: int = 0,
 ) -> dict:
     """Decision-agreement protocol for hypothesis testing on estimates.
@@ -613,6 +612,11 @@ def run_ht_protocol(
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
     if k_samples < 1:
         raise ValueError(f"k_samples must be at least 1, got {k_samples}")
+    if not ops:
+        raise ValueError("need at least one op")
+    for op in ops:
+        if op not in OPS:
+            raise ValueError(f"op must be one of {OPS}, got {op!r}")
     oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 

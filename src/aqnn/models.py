@@ -17,7 +17,8 @@ from .dataset import DataObject, Dataset
 
 
 class CallLedger:
-    """Monotone call counters with memoized per-object charging.
+    """Memoized per-object charging; each role's call count is the number
+    of distinct objects charged to it.
 
     Not thread-safe: parallel runs fork, and each experiment cell owns
     its ledger.
@@ -25,19 +26,22 @@ class CallLedger:
 
     def __init__(self):
         self._charged: dict[str, set[int]] = {"oracle": set(), "proxy": set()}
-        self.oracle_calls = 0
-        self.proxy_calls = 0
+
+    @property
+    def oracle_calls(self) -> int:
+        return len(self._charged["oracle"])
+
+    @property
+    def proxy_calls(self) -> int:
+        return len(self._charged["proxy"])
 
     def charge(self, role: str, ids) -> int:
         """Charge one call per id in ``ids`` (one id or an array) not yet
         charged for ``role``; returns the number of calls charged."""
-        new = set(np.asarray(ids, dtype=np.int64).ravel().tolist()) - self._charged[role]
-        self._charged[role] |= new
-        if role == "oracle":
-            self.oracle_calls += len(new)
-        else:
-            self.proxy_calls += len(new)
-        return len(new)
+        charged = self._charged[role]
+        before = len(charged)
+        charged.update(np.asarray(ids, dtype=np.int64).ravel().tolist())
+        return len(charged) - before
 
     def as_dict(self) -> dict[str, int]:
         return {"oracle_calls": self.oracle_calls, "proxy_calls": self.proxy_calls}

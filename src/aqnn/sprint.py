@@ -6,7 +6,7 @@ precision-target search calibrated on the pilot. Value-sensitive
 aggregates (AVG, VAR) get a ternary search maximizing pilot F1;
 count-sensitive ones (PCT, COUNT) get a binary search balancing pilot
 precision against recall; SUM runs the balance search first and then
-refines the target within +-0.05 for F1.
+refines the target within +-TWO_PHASE_WINDOW for F1.
 
 ``select`` is the one dispatch from an algorithm name in ``ALGORITHMS``
 to selection code: the three searches, the fixed-target cutoff, and the
@@ -211,7 +211,7 @@ class SelectionContext:
         oracle: EmbeddingModel,
         proxy: EmbeddingModel,
         ledger: CallLedger,
-        delta: float = 0.05,
+        delta: float = SprintConfig.alpha,
     ) -> "SelectionContext":
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         pilot_ids = np.asarray(pilot_ids, dtype=np.int64)
@@ -300,7 +300,9 @@ def _balance_search(
     return best_t, probes
 
 
-def sprint_c(ctx: SelectionContext, omega_c: float, max_iters: int = 30) -> SelectionResult:
+def sprint_c(
+    ctx: SelectionContext, omega_c: float, max_iters: int = SprintConfig.max_iters
+) -> SelectionResult:
     """Equalize pilot precision and recall by binary search over the target."""
     ctx.require_pilot_truth()
     t_star, probes = _balance_search(ctx, omega_c, max_iters)
@@ -308,12 +310,13 @@ def sprint_c(ctx: SelectionContext, omega_c: float, max_iters: int = 30) -> Sele
 
 
 def two_phase(
-    ctx: SelectionContext, omega_c: float, omega_v: float, max_iters: int = 30
+    ctx: SelectionContext, omega_c: float, omega_v: float,
+    max_iters: int = SprintConfig.max_iters,
 ) -> SelectionResult:
     """Balance precision and recall, then refine nearby for the best F1.
 
     Phase 1 finds the balanced target t_c; phase 2 ternary-searches F1 on
-    the window [t_c - 0.05, t_c + 0.05] clipped to [0, 1].
+    the window t_c +- TWO_PHASE_WINDOW clipped to [0, 1].
     """
     ctx.require_pilot_truth()
     t_c, probes_c = _balance_search(ctx, omega_c, max_iters)

@@ -1,10 +1,22 @@
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from aqnn import Dataset, SyntheticGenConfig, generate_synthetic, save_dataset, speedup
+from aqnn import (
+    BoundsInput,
+    Dataset,
+    SprintConfig,
+    SyntheticGenConfig,
+    generate_synthetic,
+    save_dataset,
+    speedup,
+)
+from aqnn.bounds import min_sizes, reconcile_sizes
 from aqnn.cli import main
+from aqnn.harness import ExperimentConfig, default_ht_factors, run_ht_protocol
 
 
 def run_cli(capsys, *argv):
@@ -412,3 +424,149 @@ class TestFeaturesOnlyFile:
         code, _, err = run_cli(capsys, *self.COMMANDS[command], "--data", str(path))
         assert code == 2
         assert message in err
+
+
+class TestUnsetFlagsTakeLibraryDefaults:
+    """A flag left unset keeps the default of the type or function it fills."""
+
+    def test_bounds_defaults_match_bounds_input(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--agg", "AVG", "--json")
+        assert code == 0
+        want = min_sizes("AVG", BoundsInput())
+        payload = json.loads(out)
+        assert (payload["s_min"], payload["s_p_min"]) == (want.s_min, want.s_p_min)
+        assert payload["omega_nn_implied"] == want.omega_nn_implied
+        assert payload["details"] == want.details
+
+    def test_bench_config_reports_sprint_and_experiment_defaults(self, capsys):
+        # only flags whose defaults live in the CLI are set
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "400", "--s", "100", "--sp", "40", "--queries", "1",
+            "--algorithms", "sprint_v", "--json",
+        )
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        sprint = {f.name: f.default for f in fields(SprintConfig) if f.name not in
+                  ("s", "s_p", "seed")}
+        experiment = {f.name: f.default for f in fields(ExperimentConfig)
+                      if f.name in ("trials", "metric", "cost_ratio")}
+        assert {k: config[k] for k in sprint} == sprint
+        assert {k: config[k] for k in experiment} == experiment
+        assert (config["s"], config["s_p"], config["r"]) == (100, 40, 6.0)
+
+    def test_ht_defaults_match_run_ht_protocol(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ht", "--n", "400", "--s", "100", "--sp", "40", "--queries", "1", "--json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        params = inspect.signature(run_ht_protocol).parameters
+        assert payload["factors"] == default_ht_factors()
+        assert payload["ops"] == list(params["ops"].default)
+        assert payload["k_samples"] == params["k_samples"].default
+
+
+class TestBadInputFailsLoudly:
+    BENCH = ["bench", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1", "--trials", "1"]
+    HT = ["ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1", "--k", "1"]
+
+    @pytest.mark.parametrize("algorithms", ["", ","])
+    def test_empty_algorithm_list(self, capsys, algorithms):
+        code, _, err = run_cli(capsys, *self.BENCH, "--algorithms", algorithms)
+        assert code == 1
+        assert "need at least one algorithm" in err
+
+    def test_negative_parallel(self, capsys):
+        code, _, err = run_cli(capsys, *self.BENCH, "--algorithms", "sprint_v", "--parallel=-4")
+        assert code == 1
+        assert "parallel must be nonnegative, got -4" in err
+
+    def test_empty_op_list(self, capsys):
+        code, _, err = run_cli(capsys, *self.HT, "--ops", ",")
+        assert code == 1
+        assert "need at least one op" in err
+
+
+class TestHtFactors:
+    HT = ["--seed", "2", "ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",
+          "--k", "1", "--json"]
+
+    @pytest.mark.parametrize("factors,want", [
+        (("0.5", "1.4", "0.25"), [0.5, 0.75, 1.0, 1.25]),  # no factor exceeds HI
+        (("0.1", "0.7", "0.2"), [0.1, 0.3, 0.5, 0.7]),  # (HI - LO) / STEP is 2.9999999999999996
+    ])
+    def test_grid_ends_at_last_step_not_above_hi(self, capsys, factors, want):
+        code, out, err = run_cli(capsys, *self.HT, "--factors", *factors)
+        assert code == 0, err
+        assert json.loads(out)["factors"] == want
+
+    def test_step_grid_to_hi_is_the_default_grid(self, capsys):
+        code, out, err = run_cli(capsys, *self.HT, "--factors", "0.5", "1.5", "0.05")
+        assert code == 0, err
+        assert json.loads(out)["factors"] == default_ht_factors()
+
+
+class TestTextOutputs:
+    """The plain-text and summary outputs no other test reads."""
+
+    def test_gen_json_payload(self, tmp_path, capsys):
+        path = tmp_path / "pop.jsonl"
+        code, out, _ = run_cli(
+            capsys, "--seed", "3", "gen", "--n", "60", "--dim", "4", "--bounds", "0", "200",
+            "--out", str(path), "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "out": str(path), "n": 60, "feature_dim": 4, "embedding_dim": 4,
+            "attr_bounds": [0.0, 200.0], "seed": 3,
+        }
+
+    def test_query_text_lists_the_json_payload(self, capsys):
+        argv = ["--seed", "3", "query", "--n", "600", "--s", "200", "--sp", "60", "--q-id", "4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, json_out, _ = run_cli(capsys, *argv, "--json")
+        payload = json.loads(json_out)
+        assert out.splitlines() == [
+            f"{key}: {payload[key]}" for key in (
+                "query_id", "agg", "radius", "metric", "estimate", "selected", "t_star",
+                "threshold", "method", "oracle_calls", "proxy_calls", "seed",
+            )
+        ]
+
+    def test_ht_text_lists_accuracy_by_factor(self, capsys):
+        argv = ["--seed", "2", "ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",
+                "--k", "2", "--factors", "0.5", "1.5", "0.5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, json_out, _ = run_cli(capsys, *argv, "--json")
+        payload = json.loads(json_out)
+        by_factor = payload["accuracy_by_factor"]
+        assert out.splitlines() == [
+            f"mean accuracy: {payload['mean_accuracy']}",
+            f"  factor 0.5: {by_factor['0.5']}",
+            f"  factor 1: {by_factor['1.0']}",
+            f"  factor 1.5: {by_factor['1.5']}",
+        ]
+
+    @pytest.mark.parametrize("agg,flags,inp", [
+        ("PCT", ["--omega-s", "0.2"], BoundsInput(omega_s=0.2)),
+        ("AVG", ["--lambda", "0.05"], BoundsInput(lambda_=0.05)),
+        ("AVG", [], BoundsInput()),
+    ])
+    def test_bounds_reconcile(self, capsys, agg, flags, inp):
+        argv = ["bounds", "--agg", agg, *flags, "--reconcile"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(run_cli(capsys, *argv, "--json")[1])
+        want = reconcile_sizes(min_sizes(agg, inp))
+        assert want.reconciled == bool(flags)  # the first two cases reconcile, the last does not
+        assert (payload["s_min"], payload["s_p_min"], payload["reconciled"]) == (
+            want.s_min, want.s_p_min, want.reconciled
+        )
+        lines = [f"s_min = {want.s_min}", f"s_p_min = {want.s_p_min}"]
+        if want.omega_nn_implied is not None:
+            lines.append(f"omega_nn_implied = {want.omega_nn_implied:.6g}")
+        if want.reconciled:
+            lines.append("reconciled: s raised to the pilot bound")
+        assert out.splitlines() == lines

@@ -44,6 +44,20 @@ class TestEmbedAccounting:
             assert calls == 5 and sum(l1.as_dict().values()) == 5
 
 
+    @given(st.lists(st.tuples(st.sampled_from(["oracle", "proxy"]),
+                              st.lists(st.integers(-1, 40), max_size=12)), max_size=20))
+    def test_counts_are_distinct_ids_charged(self, charges):
+        ledger = CallLedger()
+        seen = {"oracle": set(), "proxy": set()}
+        for role, ids in charges:
+            new = set(ids) - seen[role]
+            seen[role] |= new
+            assert ledger.charge(role, np.array(ids, dtype=np.int64)) == len(new)
+        assert ledger.as_dict() == {
+            "oracle_calls": len(seen["oracle"]), "proxy_calls": len(seen["proxy"])
+        }
+
+
 class TestSpeedup:
     # Reported embedding-cost speedups at oracle:proxy cost ratio 2.
     @pytest.mark.parametrize(
