@@ -101,7 +101,10 @@ def _load_or_generate(args, seed: int):
 def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
     """Query targets from ``spec``; ``random:k`` draws k distinct ids below ``n``."""
     if spec.startswith("random:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"--queries {spec!r}: expected random:<k> with an integer k") from exc
         if k < 1:
             raise UsageError("random:<k> needs k >= 1")
         rng = spawn_rng(seed, "query-targets")

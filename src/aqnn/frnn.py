@@ -10,13 +10,17 @@ maximizes labeled recall, breaking ties by higher labeled precision
 (more generous to unlabeled points at equal labeled evidence). The chosen
 cutoff is then applied to the whole candidate universe by proxy distance.
 
-Cost per call is O(m log m + n) for m labeled points and n candidates,
-comfortably inside an O(n^2 log n) budget at sample scale.
+A :class:`CalibrationTable` holds every candidate's bound and, for each
+target, the cutoff the rule picks, so a search that probes many targets
+calibrates once. Cost for m labeled points and n candidates: O(m log m)
+once per selection, then O(log m) per probe plus one O(n) mask for the
+final selection.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +104,106 @@ def exact_frnn(
     return NeighborSet(np.unique(ids[d <= r]), "exact_frnn", float(r))
 
 
+@dataclass(frozen=True, eq=False)
+class CalibrationTable:
+    """Every target's calibrated cutoff over one labeled set, built once.
+
+    Candidates are the cutoffs at the ends of the labeled distance-tie
+    groups plus the radius. Those whose lower bound clears a target t form
+    a suffix of the candidates sorted by bound, so position i of ``lower``
+    (ascending) stores the pick among candidates i and later: its cutoff
+    and the labeled prefix size and true count it admits. A probe is one
+    bisect; past the last bound, the fallback singleton is picked.
+    """
+
+    lower: list[float]
+    tau: list[float]
+    size: list[int]
+    k_true: list[int]
+    fallback: np.ndarray  # the proxy-nearest labeled true neighbor, or empty
+    n_truth: int
+    delta: float
+
+    @classmethod
+    def build(
+        cls,
+        labeled_ids: np.ndarray,
+        labeled_d: np.ndarray,
+        oracle_truth: NeighborSet,
+        delta: float,
+        r: float,
+    ) -> "CalibrationTable":
+        """Score every candidate cutoff of the labeled set against the truth.
+
+        ``labeled_ids`` is a sorted array of distinct ids, ``labeled_d``
+        their proxy distances, and ``oracle_truth`` their oracle labels.
+        """
+        if not labeled_ids.size:
+            raise ValueError("empty labeled calibration set")
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+
+        order = np.lexsort((labeled_ids, labeled_d))
+        lab_ids = labeled_ids[order]
+        lab_d = labeled_d[order]
+        lab_true = np.isin(lab_ids, oracle_truth.member_ids)
+        cum_true = np.cumsum(lab_true)
+
+        # Candidate cutoffs keyed by the labeled prefix they admit. Prefixes
+        # end at distance-tie-group boundaries; the radius is one more
+        # candidate, and where it admits the same prefix as a group end, the
+        # tie-break on the cutoff prefers it.
+        ends = np.flatnonzero(np.append(lab_d[1:] != lab_d[:-1], True))
+        sizes = np.append(ends + 1, np.searchsorted(lab_d, r, side="right"))
+        taus = np.append(lab_d[ends], r)
+        if sizes[-1] == 0:
+            sizes, taus = sizes[:-1], taus[:-1]
+        k_true = cum_true[sizes - 1]
+        p_hat = k_true / sizes
+        # One-sided Hoeffding lower bound on precision, clamped at 0.
+        lower = np.maximum(0.0, p_hat - np.sqrt(math.log(1.0 / delta) / (2.0 * sizes)))
+
+        # Among the qualifying candidates the pick maximizes (true count,
+        # p_hat, cutoff); the true count orders candidates as labeled recall
+        # does. Rank every candidate by that key, then carry the best rank
+        # from the highest bound down.
+        by_key = np.lexsort((taus, p_hat, k_true))
+        rank = np.empty_like(by_key)
+        rank[by_key] = np.arange(by_key.size)
+        by_lower = np.argsort(lower, kind="stable")
+        best = by_key[np.maximum.accumulate(rank[by_lower][::-1])[::-1]]
+        return cls(
+            lower=lower[by_lower].tolist(),
+            tau=taus[best].tolist(),
+            size=sizes[best].tolist(),
+            k_true=k_true[best].tolist(),
+            fallback=lab_ids[lab_true][:1],
+            n_truth=len(oracle_truth),
+            delta=float(delta),
+        )
+
+    def _pick(self, t: float) -> int:
+        """Position of the pick at target t; ``len(lower)`` for the fallback."""
+        PrecisionTargetConfig(t=t, delta=self.delta)  # a bad target fails loudly
+        return bisect_left(self.lower, t)
+
+    def select(
+        self, ids: np.ndarray, d: np.ndarray, t: float, method: str = "pqe_pt"
+    ) -> NeighborSet:
+        """The ids whose proxy distance ``d`` is within the cutoff picked at t."""
+        i = self._pick(t)
+        if i == len(self.lower):
+            return NeighborSet(self.fallback, method=method, threshold_used=None)
+        return NeighborSet(ids[d <= self.tau[i]], method=method, threshold_used=self.tau[i])
+
+    def labeled_prf1(self, t: float) -> tuple[float, float, float]:
+        """``prf1`` of the labeled ids the pick at t admits, from its counts."""
+        i = self._pick(t)
+        if i == len(self.lower):  # the fallback holds only a true neighbor
+            return _prf1_of_counts(self.fallback.size, self.fallback.size, self.n_truth)
+        return _prf1_of_counts(self.k_true[i], self.size[i], self.n_truth)
+
+
 def pqe_pt(
     sample_ids: np.ndarray,
     sample_d: np.ndarray,
@@ -121,39 +225,8 @@ def pqe_pt(
     """
     if not sample_ids.size:
         raise ValueError("empty sample")
-    if not labeled_ids.size:
-        raise ValueError("empty labeled calibration set")
-
-    order = np.lexsort((labeled_ids, labeled_d))
-    lab_ids = labeled_ids[order]
-    lab_d = labeled_d[order]
-    lab_true = np.isin(lab_ids, oracle_truth.member_ids)
-    cum_true = np.cumsum(lab_true)
-
-    # Candidate cutoffs keyed by the labeled prefix they admit. Prefixes end
-    # at distance-tie-group boundaries; the radius is one more candidate,
-    # and where it admits the same prefix as a group end, the tie-break on
-    # the cutoff prefers it.
-    ends = np.flatnonzero(np.append(lab_d[1:] != lab_d[:-1], True))
-    sizes = np.append(ends + 1, np.searchsorted(lab_d, r, side="right"))
-    taus = np.append(lab_d[ends], r)
-    if sizes[-1] == 0:
-        sizes, taus = sizes[:-1], taus[:-1]
-    k_true = cum_true[sizes - 1]
-    p_hat = k_true / sizes
-    # One-sided Hoeffding lower bound on precision, clamped at 0.
-    lower = np.maximum(0.0, p_hat - np.sqrt(math.log(1.0 / cfg.delta) / (2.0 * sizes)))
-    ok = lower >= cfg.t
-
-    if not ok.any():
-        nearest_true = lab_ids[lab_true][:1]
-        return NeighborSet(nearest_true, method="pqe_pt", threshold_used=None)
-
-    # The true count orders candidates as labeled recall does.
-    k_true, p_hat, taus = k_true[ok], p_hat[ok], taus[ok]
-    best_tau = float(taus[np.lexsort((taus, p_hat, k_true))[-1]])
-    members = sample_ids[sample_d <= best_tau]
-    return NeighborSet(members, method="pqe_pt", threshold_used=best_tau)
+    table = CalibrationTable.build(labeled_ids, labeled_d, oracle_truth, cfg.delta, r)
+    return table.select(sample_ids, sample_d, cfg.t)
 
 
 def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:
@@ -186,7 +259,12 @@ def prf1(selected, truth) -> tuple[float, float, float]:
     """
     sel, tru = _id_array(selected), _id_array(truth)
     overlap = np.intersect1d(sel, tru, assume_unique=True).size
-    p = overlap / sel.size if sel.size else 1.0
-    r = overlap / tru.size if tru.size else 1.0
+    return _prf1_of_counts(overlap, sel.size, tru.size)
+
+
+def _prf1_of_counts(overlap: int, selected: int, truth: int) -> tuple[float, float, float]:
+    """``prf1`` from the overlap and the two set sizes."""
+    p = overlap / selected if selected else 1.0
+    r = overlap / truth if truth else 1.0
     f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
     return p, r, f1

@@ -76,11 +76,15 @@ def embed_many(
     """Embed many dataset objects as rows of the stored matrix.
 
     Accounting is identical to calling :meth:`EmbeddingModel.embed` per
-    object: every id is charged through the ledger's memo table.
+    object: every id is charged through the ledger's memo table. A scan of
+    all of D (``ids`` equal to ``ds.ids``) gets the read-only stored matrix
+    itself rather than a copy of every row.
     """
     ids = np.asarray(ids, dtype=np.int64)
     ledger.charge(model.role, ids)
     matrix = ds.oracle_emb if model.role == "oracle" else ds.proxy_emb
+    if ids.size == len(ds) and np.array_equal(ids, ds.ids):
+        return matrix
     return matrix[ids]
 
 

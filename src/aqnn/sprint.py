@@ -22,6 +22,7 @@ objects plus one call of each model for the query target.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,12 +30,10 @@ import numpy as np
 from .dataset import DataObject, Dataset
 from .errors import DegenerateNeighborhoodError
 from .frnn import (
+    CalibrationTable,
     NeighborSet,
-    PrecisionTargetConfig,
     distances_from,
     exact_frnn,
-    pqe_pt,
-    prf1,
     top_k_baseline,
 )
 from .models import CallLedger, EmbeddingModel, embed_many
@@ -187,7 +186,8 @@ class SelectionContext:
 
     Sorted sample and pilot id arrays, the pilot within the sample, with
     aligned proxy distances; ``pilot_truth`` is the oracle neighborhood
-    within the pilot, the only ids the oracle labels.
+    within the pilot, the only ids the oracle labels. Every probe of a
+    search reads the one ``calibration`` table built from the pilot.
     """
 
     sample_ids: np.ndarray
@@ -230,23 +230,18 @@ class SelectionContext:
             ledger=ledger,
         )
 
-    def _select(self, ids: np.ndarray, d: np.ndarray, t: float) -> NeighborSet:
-        """Apply the cutoff calibrated on the pilot at target t to ``ids``."""
-        return pqe_pt(
-            ids,
-            d,
-            self.pilot_ids,
-            self.pilot_d,
-            self.pilot_truth,
-            PrecisionTargetConfig(t=t, delta=self.delta),
-            self.r,
+    @cached_property
+    def calibration(self) -> CalibrationTable:
+        """The pilot's calibration table, built on first use and shared by every probe."""
+        return CalibrationTable.build(
+            self.pilot_ids, self.pilot_d, self.pilot_truth, self.delta, self.r
         )
 
     def pilot_prf1(self, t: float) -> tuple[float, float, float]:
-        return prf1(self._select(self.pilot_ids, self.pilot_d, t), self.pilot_truth)
+        return self.calibration.labeled_prf1(t)
 
     def select_on_sample(self, t: float, method: str) -> NeighborSet:
-        return replace(self._select(self.sample_ids, self.sample_d, t), method=method)
+        return self.calibration.select(self.sample_ids, self.sample_d, t, method)
 
     def result(self, t_star: float, method: str, probes: int = 0) -> SelectionResult:
         """Select on the sample at target t_star and record how it was found."""

@@ -486,6 +486,11 @@ class TestBadInputFailsLoudly:
         assert code == 1
         assert "need at least one op" in err
 
+    def test_non_integer_random_query_count(self, capsys):
+        code, _, err = run_cli(capsys, *self.BENCH, "--queries", "random:x")
+        assert code == 1
+        assert "--queries 'random:x'" in err and "random:<k>" in err
+
 
 class TestHtFactors:
     HT = ["--seed", "2", "ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",

@@ -14,6 +14,8 @@ from aqnn import (
     top_k_baseline,
 )
 from aqnn.frnn import distances_from
+from aqnn.models import CallLedger
+from aqnn.sprint import SelectionContext
 
 
 class TestDist:
@@ -274,6 +276,98 @@ class TestPqePt:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
             run_pqe_pt([], {}, [], set(), 0.5, 0.05, 1.0)
+
+
+def pqe_pt_per_probe(sample_ids, sample_d, labeled_ids, labeled_d, oracle_truth, cfg, r):
+    """The selector as it ran before its calibration table: each call
+    re-sorts the labeled set and re-scores every candidate cutoff."""
+    if not sample_ids.size:
+        raise ValueError("empty sample")
+    if not labeled_ids.size:
+        raise ValueError("empty labeled calibration set")
+
+    order = np.lexsort((labeled_ids, labeled_d))
+    lab_ids = labeled_ids[order]
+    lab_d = labeled_d[order]
+    lab_true = np.isin(lab_ids, oracle_truth.member_ids)
+    cum_true = np.cumsum(lab_true)
+
+    ends = np.flatnonzero(np.append(lab_d[1:] != lab_d[:-1], True))
+    sizes = np.append(ends + 1, np.searchsorted(lab_d, r, side="right"))
+    taus = np.append(lab_d[ends], r)
+    if sizes[-1] == 0:
+        sizes, taus = sizes[:-1], taus[:-1]
+    k_true = cum_true[sizes - 1]
+    p_hat = k_true / sizes
+    lower = np.maximum(0.0, p_hat - np.sqrt(math.log(1.0 / cfg.delta) / (2.0 * sizes)))
+    ok = lower >= cfg.t
+
+    if not ok.any():
+        nearest_true = lab_ids[lab_true][:1]
+        return NeighborSet(nearest_true, method="pqe_pt", threshold_used=None)
+
+    k_true, p_hat, taus = k_true[ok], p_hat[ok], taus[ok]
+    best_tau = float(taus[np.lexsort((taus, p_hat, k_true))[-1]])
+    members = sample_ids[sample_d <= best_tau]
+    return NeighborSet(members, method="pqe_pt", threshold_used=best_tau)
+
+
+class TestCalibrationTable:
+    """A context's table-backed probes against the per-probe selector."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_probes_match_per_probe_reference(self, data):
+        # distances from a small grid tie often; the radius sits on a pilot
+        # distance, below every one, or anywhere; the pilot may hold no true
+        # neighbor, which leaves only the empty fallback (pqe_pt_fixed runs
+        # on such a pilot)
+        n = data.draw(st.integers(1, 30))
+        ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=n, max_size=n)))
+        grid = st.sampled_from([0.5 * k for k in range(1, 6)])
+        dist = dict(zip(ids, data.draw(st.lists(grid, min_size=n, max_size=n))))
+        pilot = sorted(data.draw(
+            st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True)))
+        case = data.draw(st.sampled_from(["coin", "no_true", "radius_on_pilot", "radius_below"]))
+        truth = [] if case == "no_true" else [i for i in pilot if data.draw(st.booleans())]
+        if case == "radius_on_pilot":
+            r = dist[data.draw(st.sampled_from(pilot))]
+        elif case == "radius_below":
+            r = data.draw(st.floats(0.0, 0.49))
+        else:
+            r = data.draw(st.floats(0.0, 3.0))
+        delta = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+
+        sample, pilot = ids_of(ids), ids_of(pilot)
+        sample_d = np.array([dist[i] for i in sample.tolist()])
+        pilot_d = np.array([dist[i] for i in pilot.tolist()])
+        truth = NeighborSet(ids_of(truth), "exact_frnn", r)
+        ctx = SelectionContext(sample, sample_d, pilot, pilot_d, truth, r, delta, CallLedger())
+
+        bounds = ctx.calibration.lower
+        assert bounds == sorted(bounds) and bounds[-1] < 1.0  # so t = 1.0 falls back
+        targets = (bounds + [float(np.nextafter(b, 2)) for b in bounds] + [0.0, 1.0]
+                   + data.draw(st.lists(st.floats(0.0, 1.0), max_size=10)))
+        for t in targets:
+            cfg = PrecisionTargetConfig(t, delta)
+            want = pqe_pt_per_probe(sample, sample_d, pilot, pilot_d, truth, cfg, r)
+            got = ctx.select_on_sample(t, "pqe_pt_fixed")
+            assert np.array_equal(got.member_ids, want.member_ids)
+            assert got.threshold_used == want.threshold_used
+            on_pilot = pqe_pt_per_probe(pilot, pilot_d, pilot, pilot_d, truth, cfg, r)
+            assert ctx.pilot_prf1(t) == prf1(on_pilot, truth)
+
+    def test_bad_target_fails_on_every_probe(self):
+        ctx = SelectionContext(
+            ids_of([0, 1]), np.array([1.0, 2.0]), ids_of([0]), np.array([1.0]),
+            NeighborSet(ids_of([0]), "exact_frnn", 1.5), 1.5, 0.05, CallLedger(),
+        )
+        ctx.pilot_prf1(0.5)
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match="precision target"):
+                ctx.pilot_prf1(bad)
+            with pytest.raises(ValueError, match="precision target"):
+                ctx.select_on_sample(bad, "pqe_pt_fixed")
 
 
 def top_k_of(dists, k):

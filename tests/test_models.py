@@ -43,6 +43,17 @@ class TestEmbedAccounting:
             calls = l1.oracle_calls if model.role == "oracle" else l1.proxy_calls
             assert calls == 5 and sum(l1.as_dict().values()) == 5
 
+    def test_embed_many_of_all_ids_equals_indexed_rows(self, tiny_ds, models):
+        # a scan of all of D may skip the copy, but returns the same rows
+        # and charges every id
+        for model in models:
+            ledger = CallLedger()
+            rows = embed_many(model, tiny_ds, tiny_ds.ids, ledger)
+            matrix = tiny_ds.oracle_emb if model.role == "oracle" else tiny_ds.proxy_emb
+            assert np.array_equal(rows, matrix[tiny_ds.ids])
+            assert not rows.flags.writeable
+            assert sum(ledger.as_dict().values()) == len(tiny_ds)
+
 
     @given(st.lists(st.tuples(st.sampled_from(["oracle", "proxy"]),
                               st.lists(st.integers(-1, 40), max_size=12)), max_size=20))
