@@ -44,7 +44,10 @@ def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] != q.shape[0]:
         raise ValueError(f"matrix shape {m.shape} incompatible with query dim {q.shape[0]}")
     if metric == "euclidean":
-        return np.linalg.norm(m - q, axis=1)
+        # np.linalg.norm's sum bit for bit, in one temporary squared in place, not three
+        diff = m - q
+        diff *= diff
+        return np.sqrt(np.add.reduce(diff, axis=1))
     if metric == "cosine":
         nq = np.linalg.norm(q)
         nm = np.linalg.norm(m, axis=1)
@@ -98,10 +101,26 @@ def exact_frnn(
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape[0] != ids.shape[0]:
         raise DataError("embeddings not aligned with universe ids")
+    try:
+        d = distances_from(metric, q_emb, emb)
+    except (DataError, ValueError):  # a NaN row outranks any other fault
+        _reject_nan(emb)
+        raise
+    if np.isnan(d).any():  # a NaN coordinate makes its row's distance NaN
+        _reject_nan(emb)
+    return NeighborSet(sorted_distinct(ids[d <= r]), "exact_frnn", float(r))
+
+
+def _reject_nan(emb: np.ndarray) -> None:
     if np.isnan(emb).any():
         raise DataError("missing embedding values (NaN) in universe")
-    d = distances_from(metric, q_emb, emb)
-    return NeighborSet(np.unique(ids[d <= r]), "exact_frnn", float(r))
+
+
+def sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """A 1-d id array sorted and deduplicated; itself if strictly increasing."""
+    if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+        return np.unique(ids)
+    return ids
 
 
 @dataclass(frozen=True, eq=False)

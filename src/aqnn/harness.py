@@ -16,6 +16,7 @@ them explicitly via ``include_timing``.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -47,8 +48,9 @@ SWEEP_AXES = ("dataset_size", "sample_size", "pilot_size", "radius")
 
 
 def canonical_json(payload) -> str:
-    """The canonical, byte-reproducible text of a JSON payload."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The canonical, byte-reproducible text of a JSON payload; a
+    non-finite float in it is a ``ValueError``, never ``NaN`` or ``Infinity``."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_algorithm(spec: str) -> tuple[str, float | None]:
@@ -76,6 +78,9 @@ class SweepSpec:
             raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
         if len(self.grid) < 1:
             raise ValueError("sweep grid must be nonempty")
+        bad = [v for v in self.grid if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{self.axis} sweep values must be finite, got {bad[0]:g}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
         if self.grid[0] <= 0:

@@ -3,8 +3,10 @@
 Both models read embeddings stored with the population: the oracle its
 costly high-quality column, the proxy its cheap one. A :class:`CallLedger`
 charges each (model role, object) pair at most once per run, matching
-per-object call counting; ``speedup`` prices the counts with an
-oracle/proxy cost ratio.
+per-object call counting. It keeps each role's charged ids as a few
+sorted, disjoint id arrays, so the cost of a charge grows with the ids
+it is given and the charges made before it, never with the population.
+``speedup`` prices the counts with an oracle/proxy cost ratio.
 """
 
 from __future__ import annotations
@@ -14,34 +16,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataObject, Dataset
+from .frnn import sorted_distinct
 
 
 class CallLedger:
-    """Memoized per-object charging; each role's call count is the number
-    of distinct objects charged to it.
+    """Per-object charging; each role's call count is the number of
+    distinct objects charged to it.
+
+    Each role keeps the ids it has charged as a list of sorted, disjoint
+    int64 arrays, one per charge that added any, plus their total size. A
+    charge drops the ids an earlier array holds with one ``searchsorted``
+    per array and appends the rest.
 
     Not thread-safe: parallel runs fork, and each experiment cell owns
     its ledger.
     """
 
     def __init__(self):
-        self._charged: dict[str, set[int]] = {"oracle": set(), "proxy": set()}
+        self._charged: dict[str, list[np.ndarray]] = {"oracle": [], "proxy": []}
+        self._calls = {"oracle": 0, "proxy": 0}
 
     @property
     def oracle_calls(self) -> int:
-        return len(self._charged["oracle"])
+        return self._calls["oracle"]
 
     @property
     def proxy_calls(self) -> int:
-        return len(self._charged["proxy"])
+        return self._calls["proxy"]
 
     def charge(self, role: str, ids) -> int:
         """Charge one call per id in ``ids`` (one id or an array) not yet
         charged for ``role``; returns the number of calls charged."""
         charged = self._charged[role]
-        before = len(charged)
-        charged.update(np.asarray(ids, dtype=np.int64).ravel().tolist())
-        return len(charged) - before
+        new = sorted_distinct(np.asarray(ids, dtype=np.int64).ravel())
+        for done in charged:
+            if not new.size:
+                break
+            at = np.searchsorted(done, new)
+            seen = done[np.minimum(at, done.size - 1)] == new
+            if seen.any():
+                new = new[~seen]
+        if new.size:
+            charged.append(new.copy())  # the caller may reuse its array
+            self._calls[role] += new.size
+        return new.size
 
     def as_dict(self) -> dict[str, int]:
         return {"oracle_calls": self.oracle_calls, "proxy_calls": self.proxy_calls}
@@ -76,7 +94,8 @@ def embed_many(
     """Embed many dataset objects as rows of the stored matrix.
 
     Accounting is identical to calling :meth:`EmbeddingModel.embed` per
-    object: every id is charged through the ledger's memo table. A scan of
+    object: the ids are charged in one batch, and the ledger's sorted id
+    arrays drop those it has charged before. A scan of
     all of D (``ids`` equal to ``ds.ids``) gets the read-only stored matrix
     itself rather than a copy of every row.
     """

@@ -21,6 +21,7 @@ objects plus one call of each model for the query target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -87,6 +88,8 @@ class QuerySpec:
     metric: str = "euclidean"
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ValueError(f"radius must be finite, got {self.r:g}")
         if self.r <= 0:
             raise ValueError("radius must be positive")
         if self.agg not in SENSITIVITY:

@@ -492,6 +492,22 @@ class TestBadInputFailsLoudly:
         assert "--queries 'random:x'" in err and "random:<k>" in err
 
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius(self, capsys, radius):
+        code, out, err = run_cli(capsys, "query", "--n", "300", "--s", "100", "--sp", "40",
+                                 "--radius", radius, "--json")
+        assert code == 1
+        assert f"radius must be finite, got {radius}" in err
+        assert out == "" and "Traceback" not in err
+
+    def test_non_finite_sweep_value(self, capsys):
+        code, out, err = run_cli(capsys, *self.BENCH, "--algorithms", "sprint_v",
+                                 "--sweep", "radius", "--grid", "5,nan")
+        assert code == 1
+        assert "radius sweep values must be finite, got nan" in err
+        assert out == "" and "Traceback" not in err
+
+
 class TestHtFactors:
     HT = ["--seed", "2", "ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",
           "--k", "1", "--json"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aqnn import (
     DataError,
@@ -54,8 +55,51 @@ class TestDist:
         with pytest.raises(ValueError, match="unknown metric"):
             self.one("manhattan", [0.0], [1.0])
 
+    @settings(max_examples=200)
+    @given(data=st.data(), rows=st.sampled_from([0, 1]) | st.integers(2, 30),
+           dim=st.integers(1, 5), dtype=st.sampled_from(["int64", "float32", "float64"]),
+           strided=st.booleans())
+    def test_euclidean_equals_norm_reference(self, data, rows, dim, dtype, strided):
+        # the kernel np.linalg.norm(m - q, axis=1) it replaced, bit for bit;
+        # a strided matrix is a non-contiguous slice of a wider one
+        elements = (st.integers(-10**6, 10**6) if dtype == "int64"
+                    else st.floats(-1e6, 1e6, width=32 if dtype == "float32" else 64))
+        wide = data.draw(arrays(dtype, (rows, 2 * dim if strided else dim), elements=elements))
+        m = wide[:, ::2] if strided else wide
+        m.flags.writeable = False
+        before = m.copy()
+        q = data.draw(arrays("float64", dim, elements=st.floats(-1e6, 1e6)))
+        got = distances_from("euclidean", q, m)
+        assert np.array_equal(got, np.linalg.norm(m - q, axis=1))
+        assert got.shape == (rows,) and got.dtype == np.float64
+        assert np.array_equal(m, before)
+
 
 class TestExactFrnn:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_nan_embedding_row_is_data_error(self, tiny_ds, metric):
+        # the shifted copy has no zero row, which cosine rejects too
+        for shift in (0.0, 10.0):
+            emb = tiny_ds.oracle_emb + shift
+            emb[3, 1] = np.nan
+            with pytest.raises(DataError, match="NaN"):
+                exact_frnn(tiny_ds.ids, emb, [1.0, 1.0], 2.0, metric)
+
+    def test_nan_query_selects_nothing(self, tiny_ds):
+        res = exact_frnn(tiny_ds.ids, tiny_ds.oracle_emb, [np.nan, 0.0], 1e9)
+        assert len(res) == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.floats(-3, 3), st.floats(-3, 3)),
+                    min_size=1, max_size=20),
+           st.floats(0, 4))
+    def test_unsorted_duplicated_universe_gives_sorted_distinct_members(self, rows, r):
+        ids = np.array([i for i, _, _ in rows], dtype=np.int64)
+        emb = np.array([[x, y] for _, x, y in rows])
+        res = exact_frnn(ids, emb, [0.0, 0.0], r)
+        want = np.unique(ids[np.linalg.norm(emb, axis=1) <= r])
+        assert np.array_equal(res.member_ids, want)
+        assert res.member_ids.dtype == np.int64
+
     def test_radius_zero_exact_matches_only(self, tiny_ds):
         res = exact_frnn(tiny_ds.ids, tiny_ds.oracle_emb, [0.0, 0.0], 0.0)
         assert np.array_equal(res.member_ids, [0])

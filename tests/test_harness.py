@@ -8,6 +8,7 @@ from aqnn.dataset import Dataset, load_dataset, save_dataset
 from aqnn.harness import (
     ExperimentConfig,
     SweepSpec,
+    canonical_json,
     coverage_check,
     ground_truth,
     parse_algorithm,
@@ -224,6 +225,20 @@ class TestRunExperiment:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepSpec(axis="radius", grid=(2.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sweep_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="sweep values must be finite"):
+            SweepSpec(axis="radius", grid=(2.0, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            QuerySpec(q_id=0, r=bad, agg="AVG")
+
+    def test_canonical_json_refuses_non_finite(self):
+        with pytest.raises(ValueError):
+            canonical_json({"threshold": float("inf")})
 
     def test_timing_quarantined_from_json(self, small_ds):
         report = run_experiment(small_config(small_ds, algorithms=["sprint_v"], trials=1))

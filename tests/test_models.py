@@ -5,6 +5,46 @@ from hypothesis import given, strategies as st
 from aqnn import CallLedger, embed_many, speedup
 from aqnn.sprint import resolve_query_object
 
+class SetLedger:
+    """The set-of-ids ledger ``CallLedger`` replaced, kept as its reference."""
+
+    def __init__(self):
+        self._charged: dict[str, set[int]] = {"oracle": set(), "proxy": set()}
+
+    @property
+    def oracle_calls(self) -> int:
+        return len(self._charged["oracle"])
+
+    @property
+    def proxy_calls(self) -> int:
+        return len(self._charged["proxy"])
+
+    def charge(self, role: str, ids) -> int:
+        charged = self._charged[role]
+        before = len(charged)
+        charged.update(np.asarray(ids, dtype=np.int64).ravel().tolist())
+        return len(charged) - before
+
+    def as_dict(self) -> dict[str, int]:
+        return {"oracle_calls": self.oracle_calls, "proxy_calls": self.proxy_calls}
+
+
+_ID = st.integers(-1, 40)
+
+
+def _charge_ids(charged: list[int]):
+    """Ids for one charge: a scalar, an empty, unsorted or duplicated list, a
+    strictly increasing array, or ids that earlier charges hold already."""
+    options = [
+        _ID,
+        st.lists(_ID, max_size=12),
+        st.lists(_ID, max_size=12, unique=True).map(lambda xs: np.array(sorted(xs), np.int64)),
+    ]
+    if charged:
+        options.append(st.lists(st.sampled_from(charged), min_size=1, max_size=12)
+                       .map(lambda xs: np.array(xs, np.int64)))
+    return st.one_of(options)
+
 
 class TestEmbedAccounting:
     def test_repeat_embed_charged_once(self, tiny_ds, models):
@@ -67,6 +107,25 @@ class TestEmbedAccounting:
         assert ledger.as_dict() == {
             "oracle_calls": len(seen["oracle"]), "proxy_calls": len(seen["proxy"])
         }
+
+
+class TestCallLedger:
+    @given(st.data())
+    def test_matches_set_ledger(self, data):
+        ledger, ref = CallLedger(), SetLedger()
+        for _ in range(data.draw(st.integers(0, 20))):
+            role = data.draw(st.sampled_from(["oracle", "proxy"]))
+            ids = data.draw(_charge_ids(sorted(ref._charged[role])))
+            assert ledger.charge(role, ids) == ref.charge(role, ids)
+            assert ledger.as_dict() == ref.as_dict()
+
+    def test_caller_reusing_its_array_leaves_counts(self):
+        ledger = CallLedger()
+        ids = np.arange(5, dtype=np.int64)
+        ledger.charge("proxy", ids)
+        ids[:] = 99
+        assert ledger.charge("proxy", np.arange(5)) == 0
+        assert ledger.proxy_calls == 5
 
 
 class TestSpeedup:
