@@ -28,7 +28,6 @@ from .dataset import (
 from .errors import AqnnError, DataError, DegenerateNeighborhoodError, UsageError
 from .frnn import (
     NeighborSet,
-    PrecisionTargetConfig,
     exact_frnn,
     pqe_pt,
     prf1,
@@ -65,7 +64,6 @@ __all__ = [
     "EmbeddingModel",
     "Hypothesis",
     "NeighborSet",
-    "PrecisionTargetConfig",
     "QuerySpec",
     "SelectionContext",
     "SelectionResult",

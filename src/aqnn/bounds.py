@@ -22,6 +22,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .errors import require_finite
+
 _DATA_BOUNDS_WARNING = (
     "attribute bounds were derived from the data; they enter the error "
     "guarantee, so supply population-level bounds when available"
@@ -45,6 +47,7 @@ class BoundsInput:
     bounds_data_derived: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.rho <= 1.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import math
 import os
 import sys
 
@@ -106,15 +107,15 @@ def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
         except ValueError as exc:
             raise UsageError(f"--queries {spec!r}: expected random:<k> with an integer k") from exc
         if k < 1:
-            raise UsageError("random:<k> needs k >= 1")
+            raise UsageError(f"--queries {spec!r}: random:<k> needs k >= 1")
         rng = spawn_rng(seed, "query-targets")
         return [int(i) for i in rng.choice(n, size=min(k, n), replace=False)]
     try:
         ids = [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
-        raise UsageError(f"bad query spec {spec!r}") from exc
+        raise UsageError(f"--queries {spec!r}: expected comma-separated integer ids") from exc
     if not ids:
-        raise UsageError("empty query list")
+        raise UsageError(f"--queries {spec!r}: empty query list")
     return ids
 
 
@@ -167,10 +168,9 @@ def _cmd_query(args) -> int:
         "seed": seed,
     }
     if args.truth:
+        # the search found a true neighbor in the pilot, so ON_D is never empty here
         gt = ground_truth(ds, query, [query.agg])
         truth_val = gt.agg_values[query.agg]
-        if truth_val is None:
-            raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
         p, r, f1 = prf1(res.neighbors, gt.within(res.sample_ids))
         payload.update(
             truth=truth_val,
@@ -264,6 +264,8 @@ def _cmd_bench(args) -> int:
 
 def _factor_grid(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... up to the last value not above hi (within float error)."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise UsageError(f"--factors values must be finite, got {lo:g} {hi:g} {step:g}")
     if step <= 0 or hi < lo:
         raise UsageError("--factors needs LO HI STEP with STEP > 0 and HI >= LO")
     n_steps = int((hi - lo) / step + 1e-9)
@@ -274,6 +276,7 @@ def _cmd_ht(args) -> int:
     seed = _seed_from(args)
     if args.k_samples is not None and args.k_samples < 1:
         raise UsageError(f"--k must be at least 1, got {args.k_samples}")
+    factors = _factor_grid(*args.factors) if args.factors is not None else None
     ds = _load_or_generate(args, seed)
     cfg = _from_flags(SprintConfig, args, seed=seed)
     result = _from_flags(
@@ -281,8 +284,7 @@ def _cmd_ht(args) -> int:
         ds=ds,
         query_ids=_resolve_queries(args.queries, len(ds), seed),
         sprint_cfg=cfg,
-        factors=_factor_grid(*args.factors) if args.factors is not None else None,
-        alpha=cfg.alpha,
+        factors=factors,
         seed=seed,
     )
     if args.json:

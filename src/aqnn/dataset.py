@@ -20,11 +20,12 @@ guarantee computed from them; the bounds calculators warn in that case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_finite
 from .seeding import spawn_rng
 
 # Layout constants for the synthetic generator: cluster centers are spread
@@ -165,6 +166,7 @@ class SyntheticGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_objects <= 0:
             raise ValueError("n_objects must be positive")
         if self.embedding_dim <= 0:
@@ -230,6 +232,21 @@ def _header_dim(header: dict, key: str, line_no: int) -> int:
     return dim
 
 
+def _header_bounds(header: dict, line_no: int) -> tuple[float, float] | None:
+    bounds = header.get("attr_bounds")
+    if bounds is None:
+        return None
+    if (
+        not isinstance(bounds, list)
+        or len(bounds) != 2
+        or not all(type(x) in _NUMBER for x in bounds)
+    ):
+        raise DataError(f"line {line_no}: header attr_bounds must be [a, b]")
+    if not all(math.isfinite(x) for x in bounds):
+        raise DataError(f"line {line_no}: header attr_bounds must be finite, got {bounds}")
+    return float(bounds[0]), float(bounds[1])
+
+
 def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray:
     vec = record[key]
     if not isinstance(vec, list) or not all(type(x) in _NUMBER for x in vec):
@@ -267,6 +284,7 @@ def load_dataset(path: str) -> Dataset:
                 header = record
                 feature_dim = _header_dim(record, "feature_dim", line_no)
                 embedding_dim = _header_dim(record, "embedding_dim", line_no)
+                bounds = _header_bounds(record, line_no)
                 continue
 
             if not record.keys() >= {"attr", "features", "oracle_emb", "proxy_emb"}:
@@ -282,16 +300,6 @@ def load_dataset(path: str) -> Dataset:
 
     if header is None or not attrs:
         raise DataError("empty dataset")
-
-    bounds = header.get("attr_bounds")
-    if bounds is not None:
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or not all(type(x) in _NUMBER for x in bounds)
-        ):
-            raise DataError("header attr_bounds must be [a, b]")
-        bounds = (float(bounds[0]), float(bounds[1]))
 
     return Dataset(
         attrs=np.asarray(attrs),

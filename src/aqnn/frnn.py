@@ -69,20 +69,6 @@ class NeighborSet:
         return int(self.member_ids.size)
 
 
-@dataclass(frozen=True)
-class PrecisionTargetConfig:
-    """Precision target ``t`` and failure probability ``delta`` of its guarantee."""
-
-    t: float
-    delta: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("precision target t must lie in [0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-
-
 def exact_frnn(
     universe_ids,
     embeddings: np.ndarray,
@@ -141,7 +127,6 @@ class CalibrationTable:
     k_true: list[int]
     fallback: np.ndarray  # the proxy-nearest labeled true neighbor, or empty
     n_truth: int
-    delta: float
 
     @classmethod
     def build(
@@ -198,12 +183,12 @@ class CalibrationTable:
             k_true=k_true[best].tolist(),
             fallback=lab_ids[lab_true][:1],
             n_truth=len(oracle_truth),
-            delta=float(delta),
         )
 
     def _pick(self, t: float) -> int:
         """Position of the pick at target t; ``len(lower)`` for the fallback."""
-        PrecisionTargetConfig(t=t, delta=self.delta)  # a bad target fails loudly
+        if not 0.0 <= t <= 1.0:  # NaN fails here too
+            raise ValueError("precision target t must lie in [0, 1]")
         return bisect_left(self.lower, t)
 
     def select(
@@ -229,23 +214,25 @@ def pqe_pt(
     labeled_ids: np.ndarray,
     labeled_d: np.ndarray,
     oracle_truth: NeighborSet,
-    cfg: PrecisionTargetConfig,
+    t: float,
+    delta: float,
     r: float,
 ) -> NeighborSet:
     """Precision-target selection via a calibrated proxy-distance cutoff.
 
-    ``sample_ids`` and ``labeled_ids`` are sorted arrays of distinct ids,
-    and ``sample_d`` and ``labeled_d`` their proxy distances. The labeled
-    ids are the candidates whose oracle neighborhood membership is known
-    (``oracle_truth``); the cutoff chosen from them is applied to every
-    sample id. When no cutoff's precision bound clears the target, falls
-    back to the proxy-nearest labeled true neighbor as a singleton (empty
-    when the labeled set has no true neighbor at all).
+    The cutoff's precision bound clears the target ``t`` at failure
+    probability ``delta``. ``sample_ids`` and ``labeled_ids`` are sorted
+    arrays of distinct ids, and ``sample_d`` and ``labeled_d`` their proxy
+    distances. The labeled ids are the candidates whose oracle neighborhood
+    membership is known (``oracle_truth``); the cutoff chosen from them is
+    applied to every sample id. When no cutoff's precision bound clears the
+    target, falls back to the proxy-nearest labeled true neighbor as a
+    singleton (empty when the labeled set has no true neighbor at all).
     """
     if not sample_ids.size:
         raise ValueError("empty sample")
-    table = CalibrationTable.build(labeled_ids, labeled_d, oracle_truth, cfg.delta, r)
-    return table.select(sample_ids, sample_d, cfg.t)
+    table = CalibrationTable.build(labeled_ids, labeled_d, oracle_truth, delta, r)
+    return table.select(sample_ids, sample_d, t)
 
 
 def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:

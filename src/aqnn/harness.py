@@ -29,7 +29,7 @@ from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError, UsageError
 from .frnn import NeighborSet, prf1
 from .models import CallLedger, oracle_model, proxy_model, speedup
-from .seeding import derive_seed, spawn_rng
+from .seeding import derive_seed
 from .sprint import (
     ALGORITHMS,
     QuerySpec,
@@ -81,6 +81,9 @@ class SweepSpec:
         bad = [v for v in self.grid if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{self.axis} sweep values must be finite, got {bad[0]:g}")
+        fractional = [v for v in self.grid if v != int(v)]
+        if fractional and self.axis != "radius":
+            raise ValueError(f"{self.axis} sweep values must be integers, got {fractional[0]:g}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
         if self.grid[0] <= 0:
@@ -289,8 +292,8 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     """All algorithms for one (query, trial) pair, sharing sample and pilot."""
     query_id = int(cfg.query_ids[qi])
     cell_seed = derive_seed(cfg.seed, "cell", qi, trial)
-    sample_ids = draw_sample(ds, cfg.sprint.s, spawn_rng(cell_seed, "sample"))
-    pilot_ids = draw_pilot(sample_ids, cfg.sprint.s_p, spawn_rng(cell_seed, "pilot"))
+    sample_ids = draw_sample(ds, cfg.sprint.s, cell_seed)
+    pilot_ids = draw_pilot(sample_ids, cfg.sprint.s_p, cell_seed)
     gt = gts[query_id]
     on_s = gt.within(sample_ids)
     query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
@@ -601,7 +604,6 @@ def run_ht_protocol(
     factors: Sequence[float] | None = None,
     ops: Sequence[str] = ("ge", "le"),
     k_samples: int = 30,
-    alpha: float = SprintConfig.alpha,
     metric: str = QuerySpec.metric,
     seed: int = 0,
 ) -> dict:
@@ -611,7 +613,8 @@ def run_ht_protocol(
     factor x ground-truth aggregate; the truth decision tests the exact
     neighborhood, and k_samples fresh pipeline runs produce the estimated
     decisions scored against it. AVG uses the t-test on neighbor values,
-    PCT the proportion z-test on the neighborhood fraction.
+    PCT the proportion z-test on the neighborhood fraction; both test at
+    the pipeline's confidence ``sprint_cfg.alpha``.
     """
     if agg not in ("AVG", "PCT"):
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
@@ -653,7 +656,7 @@ def run_ht_protocol(
             for op in ops:
                 acc, note = None, ""
                 try:
-                    h = Hypothesis(agg=agg, op=op, c=factor * truth_val, alpha=alpha)
+                    h = Hypothesis(agg=agg, op=op, c=factor * truth_val, alpha=sprint_cfg.alpha)
                     truth_decision = decide(h, gt.on_d.member_ids, len(ds))
                 except ValueError as exc:
                     note = str(exc)

@@ -100,26 +100,22 @@ class QuerySpec:
         return SENSITIVITY[self.agg]
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return spawn_rng(int(seed_or_rng))
-
-
-def draw_sample(ds: Dataset, s: int, seed_or_rng) -> np.ndarray:
-    """Uniform sample of s object ids without replacement, sorted."""
+def draw_sample(ds: Dataset, s: int, seed: int) -> np.ndarray:
+    """Uniform sample of s object ids without replacement, sorted; drawn
+    from the seed's ``"sample"`` stream."""
     if s > len(ds):
         raise ValueError(f"sample size {s} exceeds population {len(ds)}")
-    rng = _as_rng(seed_or_rng)
+    rng = spawn_rng(seed, "sample")
     return np.sort(rng.choice(len(ds), size=s, replace=False)).astype(np.int64)
 
 
-def draw_pilot(sample_ids: np.ndarray, s_p: int, seed_or_rng) -> np.ndarray:
-    """Uniform subsample of the sample, sorted; oracle labels come later."""
+def draw_pilot(sample_ids: np.ndarray, s_p: int, seed: int) -> np.ndarray:
+    """Uniform subsample of the sample, sorted, from the seed's ``"pilot"``
+    stream; oracle labels come later."""
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     if s_p > sample_ids.size:
         raise ValueError(f"pilot size {s_p} exceeds sample size {sample_ids.size}")
-    rng = _as_rng(seed_or_rng)
+    rng = spawn_rng(seed, "pilot")
     return np.sort(rng.choice(sample_ids, size=s_p, replace=False)).astype(np.int64)
 
 
@@ -400,7 +396,7 @@ def select_neighbors(
     AVG and VAR route to the F1-maximizing search, PCT and COUNT to the
     precision-recall balancing search, SUM to the two-phase strategy.
     """
-    sample_ids = draw_sample(ds, cfg.s, spawn_rng(cfg.seed, "sample"))
-    pilot_ids = draw_pilot(sample_ids, cfg.s_p, spawn_rng(cfg.seed, "pilot"))
+    sample_ids = draw_sample(ds, cfg.s, cfg.seed)
+    pilot_ids = draw_pilot(sample_ids, cfg.s_p, cfg.seed)
     algorithm = SEARCH_BY_SENSITIVITY[query.sensitivity]
     return select(algorithm, query, cfg, ds, oracle, proxy, sample_ids, pilot_ids, CallLedger())

@@ -86,8 +86,8 @@ def test_criterion_03_zero_noise_equivalence():
     for trial in range(100):
         q_id = query_pool[trial % len(query_pool)]
         seed = derive_seed(4100, trial)
-        sample = draw_sample(ds, 1000, spawn_rng(seed, "sample"))
-        pilot = draw_pilot(sample, 600, spawn_rng(seed, "pilot"))
+        sample = draw_sample(ds, 1000, seed)
+        pilot = draw_pilot(sample, 600, seed)
         ctx = SelectionContext.build(
             ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy,
             CallLedger(),
@@ -177,8 +177,8 @@ def _criterion_07_trials():
     rows = []
     for trial in range(30):
         seed = derive_seed(123, trial)
-        sample = draw_sample(ds, 7000, spawn_rng(seed, "sample"))
-        pilot = draw_pilot(sample, 5000, spawn_rng(seed, "pilot"))
+        sample = draw_sample(ds, 7000, seed)
+        pilot = draw_pilot(sample, 5000, seed)
         ctx = SelectionContext.build(
             ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy,
             CallLedger(),

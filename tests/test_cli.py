@@ -65,6 +65,13 @@ class TestGenCommand:
         run_cli(capsys, "--seed", "2", "gen", "--n", "60", "--dim", "4", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AQNN_SEED", "1.5")
+        code, _, err = run_cli(capsys, "gen", "--n", "30", "--out", str(tmp_path / "a.jsonl"))
+        assert code == 1
+        assert "AQNN_SEED must be an integer, got '1.5'" in err
+        assert not any(tmp_path.iterdir())
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         monkeypatch.setenv("AQNN_SEED", "7")
@@ -147,6 +154,21 @@ class TestQueryCommand:
         code, _, err = run_cli(capsys, "query", "--n", "200", "--cost-ratio", "5")
         assert code == 1
         assert "--cost-ratio" in err
+
+    def test_truth_of_a_degenerate_query_is_never_computed(self, capsys, monkeypatch):
+        # only a pilot true neighbor lets the search finish, and it lies in ON_D,
+        # so a query whose ON_D could be empty exits 3 before its truth is computed
+        import aqnn.cli
+
+        calls = []
+        monkeypatch.setattr(aqnn.cli, "ground_truth", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            capsys, "--seed", "3", "query", "--n", "500", "--q-id", "2",
+            "--s", "200", "--sp", "50", "--radius", "1e-9", "--truth",
+        )
+        assert code == 3
+        assert "pilot contains no true neighbors" in err
+        assert out == "" and calls == []
 
     @pytest.mark.parametrize("q_id", ["5000", "-3"])
     def test_target_outside_population_is_usage_error(self, capsys, q_id):
@@ -291,6 +313,28 @@ class TestBenchCommand:
         assert code == 1
         assert "sample_size sweep value 400: sample size 400 exceeds population 300" in err
         assert passes == []
+
+    @pytest.mark.parametrize("sweep,grid,value", [
+        ("sample_size", "300.7,500.2", "300.7"),
+        ("pilot_size", "40,60.5", "60.5"),
+        ("dataset_size", "500.5,1000", "500.5"),
+    ])
+    def test_fractional_size_sweep_value_is_usage_error(self, capsys, sweep, grid, value):
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "1000", "--s", "200", "--sp", "30", "--trials", "1",
+            "--queries", "3", "--sweep", sweep, "--grid", grid,
+        )
+        assert code == 1
+        assert f"{sweep} sweep values must be integers, got {value}" in err
+        assert out == ""
+
+    def test_non_numeric_grid_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bench", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",
+            "--sweep", "radius", "--grid", "5,x",
+        )
+        assert code == 1
+        assert "bad sweep grid '5,x'" in err
 
     COST_ARGV = [
         "--seed", "1", "bench", "--n", "2000", "--proxy-noise", "0.4", "--queries", "3",
@@ -491,6 +535,64 @@ class TestBadInputFailsLoudly:
         assert code == 1
         assert "--queries 'random:x'" in err and "random:<k>" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("random:0", "random:<k> needs k >= 1"),
+        ("1,x", "expected comma-separated integer ids"),
+        (",", "empty query list"),
+    ])
+    def test_bad_query_spec(self, capsys, spec, message):
+        code, _, err = run_cli(capsys, *self.BENCH, "--queries", spec)
+        assert code == 1
+        assert f"--queries {spec!r}: {message}" in err
+
+    def test_descending_factor_grid(self, capsys):
+        code, _, err = run_cli(capsys, *self.HT, "--factors", "1", "0.5", "0.1")
+        assert code == 1
+        assert "--factors needs LO HI STEP with STEP > 0 and HI >= LO" in err
+
+    GEN = ["gen", "--n", "50", "--out", "pop.jsonl"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv,flag,param", [
+        (["bounds", "--agg", "AVG"], "--alpha", "alpha"),
+        (["bounds", "--agg", "AVG"], "--rho", "rho"),
+        (["bounds", "--agg", "AVG"], "--a", "a"),
+        (["bounds", "--agg", "AVG"], "--b", "b"),
+        (["bounds", "--agg", "AVG"], "--omega-s", "omega_s"),
+        (["bounds", "--agg", "AVG"], "--omega-nn", "omega_nn"),
+        (["bounds", "--agg", "PCT"], "--omega-c", "omega_c"),
+        (["bounds", "--agg", "AVG"], "--lambda", "lambda_"),
+        (["bounds", "--agg", "SUM", "--on-d", "10"], "--avg-s", "avg_s_abs"),
+        (GEN, "--proxy-noise", "proxy_noise_sigma"),
+        (GEN, "--attr-mean", "attr_global_mean"),
+        (GEN, "--attr-sd", "attr_global_sd"),
+        (GEN, "--attr-shift", "attr_neighborhood_shift"),
+    ])
+    def test_non_finite_flag_value(self, tmp_path, capsys, monkeypatch, argv, flag, param,
+                                   value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}", "--json")
+        assert code == 1
+        assert f"{param} must be finite, got {value}" in err
+        assert out == "" and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv,flag_values,message", [
+        (GEN, ["--bounds", "0", "{}"], "attr_bounds must be finite"),
+        (HT, ["--factors", "0.5", "{}", "0.5"], "--factors values must be finite"),
+    ])
+    def test_non_finite_multi_value_flag(self, tmp_path, capsys, monkeypatch, argv,
+                                         flag_values, message, value):
+        monkeypatch.chdir(tmp_path)
+        if value == "-inf":  # argparse reads "-inf" as another flag, not as a value
+            message = f"argument {flag_values[0]}: expected"
+        code, out, err = run_cli(capsys, *argv, *(v.format(value) for v in flag_values),
+                                 "--json")
+        assert code == 1
+        assert message in err
+        assert out == "" and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_non_finite_radius(self, capsys, radius):

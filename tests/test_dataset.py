@@ -117,6 +117,38 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="attr_bounds must be"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_attr_bounds_rejected(self, tmp_path, literal):
+        path = tmp_path / "bounds.jsonl"
+        path.write_text(
+            f'{{"feature_dim": 2, "embedding_dim": 2, "attr_bounds": [0.0, {literal}]}}\n'
+            + json.dumps(_record(0, 1.0, [0.0, 0.0])) + "\n"
+        )
+        with pytest.raises(DataError, match="line 1: header attr_bounds must be finite"):
+            load_dataset(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        lines = [json.dumps(HEADER), "", json.dumps(_record(0, 1.0, [0.0, 0.0])), "  ",
+                 json.dumps(_record(1, 2.0, [1.0, 1.0]))]
+        path.write_text("\n".join(lines) + "\n\n")
+        assert len(load_dataset(str(path))) == 2
+
+    def test_non_object_line_rejected(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(json.dumps(HEADER) + "\n[1.0, [0.0, 0.0]]\n")
+        with pytest.raises(DataError, match="line 2: expected a JSON object"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("missing", ["feature_dim", "embedding_dim"])
+    def test_header_without_dims_rejected(self, tmp_path, missing):
+        path = tmp_path / "nodims.jsonl"
+        header = {k: v for k, v in HEADER.items() if k != missing}
+        _write_lines(path, [header, _record(0, 1.0, [0.0, 0.0])])
+        with pytest.raises(DataError, match="line 1: header must declare feature_dim "
+                                            "and embedding_dim"):
+            load_dataset(str(path))
+
     @pytest.mark.parametrize("column", ["oracle_emb", "proxy_emb"])
     def test_record_without_embedding_rejected(self, tmp_path, column):
         path = tmp_path / "plain.jsonl"
@@ -175,6 +207,11 @@ class TestGenerateSynthetic:
     def test_precondition_clusters(self):
         with pytest.raises(ValueError):
             SyntheticGenConfig(n_objects=3, n_clusters=5)
+
+    @pytest.mark.parametrize("bounds", [[0.0, float("inf")], (float("nan"), 10.0)])
+    def test_non_finite_bounds_rejected_as_list_or_tuple(self, bounds):
+        with pytest.raises(ValueError, match="attr_bounds must be finite"):
+            SyntheticGenConfig(n_objects=10, attr_bounds=bounds)
 
     def test_shift_moves_cluster_zero(self):
         base = dict(n_objects=2000, attr_global_mean=80.0, attr_global_sd=5.0,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from aqnn import (
     DataError,
     NeighborSet,
-    PrecisionTargetConfig,
     exact_frnn,
     pqe_pt,
     prf1,
@@ -176,7 +176,7 @@ def run_pqe_pt(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):
     sample_d = np.array([proxy_dists[i] for i in sample.tolist()], dtype=np.float64)
     labeled_d = np.array([proxy_dists[i] for i in labeled.tolist()], dtype=np.float64)
     truth = NeighborSet(ids_of(truth_ids), "exact_frnn", r)
-    return pqe_pt(sample, sample_d, labeled, labeled_d, truth, PrecisionTargetConfig(t, delta), r)
+    return pqe_pt(sample, sample_d, labeled, labeled_d, truth, t, delta, r)
 
 
 class TestPqePt:
@@ -393,7 +393,7 @@ class TestCalibrationTable:
         targets = (bounds + [float(np.nextafter(b, 2)) for b in bounds] + [0.0, 1.0]
                    + data.draw(st.lists(st.floats(0.0, 1.0), max_size=10)))
         for t in targets:
-            cfg = PrecisionTargetConfig(t, delta)
+            cfg = SimpleNamespace(t=t, delta=delta)
             want = pqe_pt_per_probe(sample, sample_d, pilot, pilot_d, truth, cfg, r)
             got = ctx.select_on_sample(t, "pqe_pt_fixed")
             assert np.array_equal(got.member_ids, want.member_ids)

@@ -9,7 +9,6 @@ import pytest
 
 from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
 from aqnn.cli import main
-from aqnn.seeding import spawn_rng
 from aqnn.sprint import ALGORITHMS, select
 
 S, S_P = 400, 120
@@ -17,8 +16,8 @@ S, S_P = 400, 120
 
 @pytest.fixture(scope="module")
 def drawn(noisy_ds):
-    sample = draw_sample(noisy_ds, S, spawn_rng(8, "sample"))
-    pilot = draw_pilot(sample, S_P, spawn_rng(8, "pilot"))
+    sample = draw_sample(noisy_ds, S, 8)
+    pilot = draw_pilot(sample, S_P, 8)
     return sample, pilot
 
 

@@ -51,8 +51,8 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
 def build_clean_context(ds, q_id, r, s, s_p, seed, models):
     oracle, proxy = models
     ledger = CallLedger()
-    sample = draw_sample(ds, s, spawn_rng(seed, "sample"))
-    pilot = draw_pilot(sample, s_p, spawn_rng(seed, "pilot"))
+    sample = draw_sample(ds, s, seed)
+    pilot = draw_pilot(sample, s_p, seed)
     ctx = SelectionContext.build(
         ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy, ledger
     )
@@ -66,6 +66,15 @@ class TestDrawSample:
 
     def test_deterministic(self, clean_ds):
         assert np.array_equal(draw_sample(clean_ds, 50, 42), draw_sample(clean_ds, 50, 42))
+
+    def test_draws_from_the_seeds_own_streams(self, clean_ds):
+        # the streams bench/inputs.py restates for the harness
+        sample = draw_sample(clean_ds, 50, 42)
+        rng = spawn_rng(42, "sample")
+        assert np.array_equal(sample, np.sort(rng.choice(len(clean_ds), 50, replace=False)))
+        rng = spawn_rng(42, "pilot")
+        assert np.array_equal(draw_pilot(sample, 10, 42),
+                              np.sort(rng.choice(sample, 10, replace=False)))
 
     def test_size_exact_no_duplicates(self, clean_ds):
         ids = draw_sample(clean_ds, 500, 3)
