@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import require_finite
 
@@ -196,14 +196,34 @@ def min_sizes_sum(inp: BoundsInput) -> BoundsOutput:
 
 
 def min_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
-    """Minimum sizes from the calculator matching the aggregation's sensitivity."""
-    if agg in ("AVG", "VAR"):
-        return min_sizes_value(agg, inp)
-    if agg in ("PCT", "COUNT"):
-        return min_sizes_count(agg, inp)
-    if agg == "SUM":
-        return min_sizes_sum(inp)
-    raise ValueError(f"unknown aggregation {agg!r}")
+    """Minimum sizes from the calculator matching the aggregation's sensitivity.
+
+    Finite inputs can still be too extreme for float arithmetic: a power
+    that overflows, a divisor that underflows to 0, or a bound that comes
+    out infinite. Each raises ``ValueError`` naming the inputs given.
+    """
+    try:
+        if agg in ("AVG", "VAR"):
+            out = min_sizes_value(agg, inp)
+        elif agg in ("PCT", "COUNT"):
+            out = min_sizes_count(agg, inp)
+        elif agg == "SUM":
+            out = min_sizes_sum(inp)
+        else:
+            raise ValueError(f"unknown aggregation {agg!r}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(agg, inp) from exc
+    if not all(map(math.isfinite, [*out.details.values(), out.omega_nn_implied or 0.0])):
+        raise _out_of_range(agg, inp)
+    return out
+
+
+def _out_of_range(agg: str, inp: BoundsInput) -> ValueError:
+    given = ", ".join(
+        f"{f.name}={getattr(inp, f.name)!r}" for f in fields(inp)
+        if getattr(inp, f.name) != f.default
+    )
+    return ValueError(f"{agg} sizes leave the floating-point range; inputs too extreme: {given}")
 
 
 def reconcile_sizes(out: BoundsOutput) -> BoundsOutput:

@@ -30,12 +30,20 @@ from .errors import DataError
 VALID_METRICS = ("euclidean", "cosine")
 
 
-def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
+def distances_from(
+    metric: str, q_emb, matrix: np.ndarray, overwrite_input: bool = False
+) -> np.ndarray:
     """Distances from one query vector to every row of a matrix.
 
     ``euclidean`` is the L2 norm of the difference; ``cosine`` is
     1 - cos(u, v), clipped to [0, 2], and a zero vector under it is bad
     data (``DataError``).
+
+    The matrix is never written unless ``overwrite_input`` is true. Then a
+    writeable float64 matrix becomes the euclidean kernel's scratch buffer
+    and holds garbage afterwards, so pass it only for a buffer the caller
+    owns and reads no more, such as a fresh gather from ``embed_many``. A
+    read-only matrix is never written.
     """
     q = np.asarray(q_emb, dtype=np.float64)
     if q.ndim != 1:
@@ -44,8 +52,8 @@ def distances_from(metric: str, q_emb, matrix: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] != q.shape[0]:
         raise ValueError(f"matrix shape {m.shape} incompatible with query dim {q.shape[0]}")
     if metric == "euclidean":
-        # np.linalg.norm's sum bit for bit, in one temporary squared in place, not three
-        diff = m - q
+        # np.linalg.norm's sum bit for bit, in one buffer squared in place, not three
+        diff = np.subtract(m, q, out=m) if overwrite_input and m.flags.writeable else m - q
         diff *= diff
         return np.sqrt(np.add.reduce(diff, axis=1))
     if metric == "cosine":
@@ -109,6 +117,14 @@ def sorted_distinct(ids: np.ndarray) -> np.ndarray:
     return ids
 
 
+def in_sorted(ids: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """``np.isin(ids, sorted_ids)`` for a sorted ``sorted_ids``, by one searchsorted."""
+    if not sorted_ids.size:
+        return np.zeros(ids.shape, dtype=bool)
+    at = np.searchsorted(sorted_ids, ids)
+    return sorted_ids[np.minimum(at, sorted_ids.size - 1)] == ids
+
+
 @dataclass(frozen=True, eq=False)
 class CalibrationTable:
     """Every target's calibrated cutoff over one labeled set, built once.
@@ -150,7 +166,7 @@ class CalibrationTable:
         order = np.lexsort((labeled_ids, labeled_d))
         lab_ids = labeled_ids[order]
         lab_d = labeled_d[order]
-        lab_true = np.isin(lab_ids, oracle_truth.member_ids)
+        lab_true = in_sorted(lab_ids, oracle_truth.member_ids)
         cum_true = np.cumsum(lab_true)
 
         # Candidate cutoffs keyed by the labeled prefix they admit. Prefixes

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataObject, Dataset
-from .frnn import sorted_distinct
+from .frnn import in_sorted, sorted_distinct
 
 
 class CallLedger:
@@ -52,8 +52,7 @@ class CallLedger:
         for done in charged:
             if not new.size:
                 break
-            at = np.searchsorted(done, new)
-            seen = done[np.minimum(at, done.size - 1)] == new
+            seen = in_sorted(new, done)
             if seen.any():
                 new = new[~seen]
         if new.size:
@@ -98,13 +97,17 @@ def embed_many(
     arrays drop those it has charged before. A scan of
     all of D (``ids`` equal to ``ds.ids``) gets the read-only stored matrix
     itself rather than a copy of every row.
+
+    Any other ids get a fresh, writeable gather that shares no memory with
+    the stored matrix. The caller owns it and may overwrite it, as
+    ``sprint._proxy_distances`` does; nothing else holds a reference to it.
     """
     ids = np.asarray(ids, dtype=np.int64)
     ledger.charge(model.role, ids)
     matrix = ds.oracle_emb if model.role == "oracle" else ds.proxy_emb
     if ids.size == len(ds) and np.array_equal(ids, ds.ids):
         return matrix
-    return matrix[ids]
+    return np.take(matrix, ids, axis=0)
 
 
 def speedup(

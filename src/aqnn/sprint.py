@@ -174,9 +174,15 @@ def _proxy_distances(
     ds: Dataset, query: DataObject, ids: np.ndarray, metric: str,
     proxy: EmbeddingModel, ledger: CallLedger,
 ) -> np.ndarray:
-    """Proxy distance from the query to each id, charging the proxy calls."""
+    """Proxy distance from the query to each id, charging the proxy calls.
+
+    The gather ``embed_many`` returns is this scan's own buffer, so the
+    kernel squares in it; the read-only matrix of an all-of-D scan is
+    left as it is.
+    """
     q_emb = proxy.embed(query, ledger)
-    return distances_from(metric, q_emb, embed_many(proxy, ds, ids, ledger))
+    rows = embed_many(proxy, ds, ids, ledger)
+    return distances_from(metric, q_emb, rows, overwrite_input=True)
 
 
 @dataclass(frozen=True)

@@ -609,6 +609,16 @@ class TestBadInputFailsLoudly:
         assert "radius sweep values must be finite, got nan" in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,given", [
+        (["--agg", "VAR", "--b", "1e100"], "b=1e+100"),  # span**4 overflows
+        (["--agg", "AVG", "--omega-s", "1e-200"], "omega_s=1e-200"),  # omega_s**2 underflows to 0
+    ])
+    def test_extreme_finite_bounds_input(self, capsys, argv, given):
+        code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+        assert code == 1
+        assert "sizes leave the floating-point range" in err and given in err
+        assert out == "" and "Traceback" not in err
+
 
 class TestHtFactors:
     HT = ["--seed", "2", "ht", "--n", "300", "--s", "100", "--sp", "40", "--queries", "1",

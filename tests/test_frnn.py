@@ -14,7 +14,7 @@ from aqnn import (
     prf1,
     top_k_baseline,
 )
-from aqnn.frnn import distances_from
+from aqnn.frnn import distances_from, in_sorted
 from aqnn.models import CallLedger
 from aqnn.sprint import SelectionContext
 
@@ -58,21 +58,55 @@ class TestDist:
     @settings(max_examples=200)
     @given(data=st.data(), rows=st.sampled_from([0, 1]) | st.integers(2, 30),
            dim=st.integers(1, 5), dtype=st.sampled_from(["int64", "float32", "float64"]),
-           strided=st.booleans())
-    def test_euclidean_equals_norm_reference(self, data, rows, dim, dtype, strided):
+           strided=st.booleans(), writeable=st.booleans())
+    def test_euclidean_equals_norm_reference(self, data, rows, dim, dtype, strided, writeable):
         # the kernel np.linalg.norm(m - q, axis=1) it replaced, bit for bit;
-        # a strided matrix is a non-contiguous slice of a wider one
+        # a strided matrix is a non-contiguous slice of a wider one; the
+        # caller's matrix is never written, writeable or not
         elements = (st.integers(-10**6, 10**6) if dtype == "int64"
                     else st.floats(-1e6, 1e6, width=32 if dtype == "float32" else 64))
         wide = data.draw(arrays(dtype, (rows, 2 * dim if strided else dim), elements=elements))
         m = wide[:, ::2] if strided else wide
-        m.flags.writeable = False
+        m.flags.writeable = writeable
         before = m.copy()
         q = data.draw(arrays("float64", dim, elements=st.floats(-1e6, 1e6)))
         got = distances_from("euclidean", q, m)
         assert np.array_equal(got, np.linalg.norm(m - q, axis=1))
         assert got.shape == (rows,) and got.dtype == np.float64
         assert np.array_equal(m, before)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), rows=st.integers(1, 30), dim=st.integers(1, 5),
+           dtype=st.sampled_from(["int64", "float32", "float64"]), read_only=st.booleans())
+    def test_overwrite_input_equals_norm_of_gather(self, data, rows, dim, dtype, read_only):
+        # a gather handed over with overwrite_input gives the reference
+        # np.linalg.norm(m[ids] - q, axis=1) bit for bit; only a writeable
+        # float64 gather is written, and the matrix it came from never is
+        elements = (st.integers(-10**6, 10**6) if dtype == "int64"
+                    else st.floats(-1e6, 1e6, width=32 if dtype == "float32" else 64))
+        m = data.draw(arrays(dtype, (rows, dim), elements=elements))
+        m.flags.writeable = False
+        ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=2 * rows)),
+                       dtype=np.int64)
+        q = data.draw(arrays("float64", dim, elements=st.floats(-1e6, 1e6)))
+        want = np.linalg.norm(m[ids] - q, axis=1)
+        gather = np.take(m, ids, axis=0)
+        gather.flags.writeable = not read_only
+        kept = gather.copy()
+        got = distances_from("euclidean", q, gather, overwrite_input=True)
+        assert np.array_equal(got, want) and got.dtype == np.float64
+        if read_only or dtype != "float64":
+            assert np.array_equal(gather, kept)
+
+    @settings(max_examples=300)
+    @given(ids=st.lists(st.integers(-3, 40), max_size=30),
+           truth=st.sets(st.integers(-3, 40), max_size=15))
+    def test_in_sorted_equals_isin(self, ids, truth):
+        # the labelling np.isin(lab_ids, truth) it replaced: needles in any
+        # order, with repeats; truth empty, or holding ids no needle has
+        ids = np.array(ids, dtype=np.int64)
+        truth = np.array(sorted(truth), dtype=np.int64)
+        assert np.array_equal(in_sorted(ids, truth), np.isin(ids, truth))
 
 
 class TestExactFrnn:
@@ -365,15 +399,19 @@ class TestCalibrationTable:
         # distances from a small grid tie often; the radius sits on a pilot
         # distance, below every one, or anywhere; the pilot may hold no true
         # neighbor, which leaves only the empty fallback (pqe_pt_fixed runs
-        # on such a pilot)
+        # on such a pilot); the truth may hold ids outside the pilot
         n = data.draw(st.integers(1, 30))
         ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=n, max_size=n)))
         grid = st.sampled_from([0.5 * k for k in range(1, 6)])
         dist = dict(zip(ids, data.draw(st.lists(grid, min_size=n, max_size=n))))
         pilot = sorted(data.draw(
             st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True)))
-        case = data.draw(st.sampled_from(["coin", "no_true", "radius_on_pilot", "radius_below"]))
+        case = data.draw(st.sampled_from(
+            ["coin", "no_true", "radius_on_pilot", "radius_below", "outside"]))
         truth = [] if case == "no_true" else [i for i in pilot if data.draw(st.booleans())]
+        if case == "outside":
+            truth += data.draw(st.lists(st.integers(0, 220).filter(lambda i: i not in pilot),
+                                        min_size=1, max_size=5, unique=True))
         if case == "radius_on_pilot":
             r = dist[data.draw(st.sampled_from(pilot))]
         elif case == "radius_below":

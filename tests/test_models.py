@@ -94,6 +94,17 @@ class TestEmbedAccounting:
             assert not rows.flags.writeable
             assert sum(ledger.as_dict().values()) == len(tiny_ds)
 
+    @pytest.mark.parametrize("ids", [[5, 1, 1, 6], [0], [], "reversed"])
+    def test_embed_many_of_other_ids_is_a_fresh_gather(self, tiny_ds, models, ids):
+        # the fancy index it replaced is the reference; the gather belongs to
+        # the caller, who may overwrite it without touching the stored matrix
+        ids = tiny_ds.ids[::-1] if ids == "reversed" else np.array(ids, dtype=np.int64)
+        for model in models:
+            matrix = tiny_ds.oracle_emb if model.role == "oracle" else tiny_ds.proxy_emb
+            rows = embed_many(model, tiny_ds, ids, CallLedger())
+            assert np.array_equal(rows, matrix[ids]) and rows.dtype == matrix.dtype
+            assert rows.flags.writeable and not np.shares_memory(rows, matrix)
+
 
     @given(st.lists(st.tuples(st.sampled_from(["oracle", "proxy"]),
                               st.lists(st.integers(-1, 40), max_size=12)), max_size=20))

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
+from aqnn import sprint
 from aqnn.cli import main
+from aqnn.frnn import distances_from
 from aqnn.sprint import ALGORITHMS, select
 
 S, S_P = 400, 120
@@ -53,6 +55,45 @@ def test_ledger_closed_form(noisy_ds, models, drawn, algorithm, where):
     else:
         expected = (S_P + outside_pilot, S + outside_sample)
     assert (ledger.oracle_calls, ledger.proxy_calls) == expected
+
+
+def _norm_kernel(metric, q_emb, matrix, overwrite_input=False):
+    """The proxy kernel before scans owned their gather: a fresh difference."""
+    assert metric == "euclidean"
+    return np.linalg.norm(np.asarray(matrix, dtype=np.float64) - q_emb, axis=1)
+
+
+@pytest.mark.parametrize("s", [S, "all"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_proxy_scan_writes_only_its_own_gather(noisy_ds, models, monkeypatch, algorithm, s):
+    # the proxy kernel squares in the gather embed_many returned; a sample
+    # of all of D is scanned as the read-only stored matrix itself. Either
+    # way the outputs equal the reference kernel's and the stored
+    # embeddings keep every byte.
+    s = len(noisy_ds) if s == "all" else s
+    sample = draw_sample(noisy_ds, s, 8)
+    pilot = draw_pilot(sample, S_P, 8)
+    query = QuerySpec(q_id=int(pilot[0]), r=6.0, agg="AVG")
+    stored = noisy_ds.proxy_emb.tobytes(), noisy_ds.oracle_emb.tobytes()
+    scanned = []
+
+    def spy(metric, q_emb, matrix, overwrite_input=False):
+        scanned.append((matrix is noisy_ds.proxy_emb, matrix.flags.writeable))
+        return distances_from(metric, q_emb, matrix, overwrite_input)
+
+    def run(kernel):
+        monkeypatch.setattr(sprint, "distances_from", kernel)
+        return select(algorithm, query, SprintConfig(s=s, s_p=S_P), noisy_ds, *models,
+                      sample, pilot, CallLedger(),
+                      fixed_t=0.9 if algorithm == "pqe_pt_fixed" else None)
+
+    got, want = run(spy), run(_norm_kernel)
+    assert (noisy_ds.proxy_emb.tobytes(), noisy_ds.oracle_emb.tobytes()) == stored
+    assert np.array_equal(got.neighbors.member_ids, want.neighbors.member_ids)
+    assert (got.neighbors.threshold_used, got.t_star, got.probes, got.ledger.as_dict()) == (
+        want.neighbors.threshold_used, want.t_star, want.probes, want.ledger.as_dict())
+    full = s == len(noisy_ds)
+    assert scanned == ([] if algorithm == "brute_force" else [(full, not full)])
 
 
 def test_unknown_algorithm_rejected(noisy_ds, models, drawn):
