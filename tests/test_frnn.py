@@ -55,14 +55,17 @@ class TestDist:
         with pytest.raises(ValueError, match="unknown metric"):
             self.one("manhattan", [0.0], [1.0])
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(data=st.data(), rows=st.sampled_from([0, 1]) | st.integers(2, 30),
            dim=st.integers(1, 5), dtype=st.sampled_from(["int64", "float32", "float64"]),
-           strided=st.booleans(), writeable=st.booleans())
-    def test_euclidean_equals_norm_reference(self, data, rows, dim, dtype, strided, writeable):
+           strided=st.booleans(), writeable=st.booleans(), overwrite=st.booleans())
+    def test_euclidean_equals_norm_reference(
+        self, data, rows, dim, dtype, strided, writeable, overwrite
+    ):
         # the kernel np.linalg.norm(m - q, axis=1) it replaced, bit for bit;
         # a strided matrix is a non-contiguous slice of a wider one; the
-        # caller's matrix is never written, writeable or not
+        # caller's matrix is written only when handed over with
+        # overwrite_input, writeable and float64, as a fresh gather is
         elements = (st.integers(-10**6, 10**6) if dtype == "int64"
                     else st.floats(-1e6, 1e6, width=32 if dtype == "float32" else 64))
         wide = data.draw(arrays(dtype, (rows, 2 * dim if strided else dim), elements=elements))
@@ -70,33 +73,12 @@ class TestDist:
         m.flags.writeable = writeable
         before = m.copy()
         q = data.draw(arrays("float64", dim, elements=st.floats(-1e6, 1e6)))
-        got = distances_from("euclidean", q, m)
-        assert np.array_equal(got, np.linalg.norm(m - q, axis=1))
+        want = np.linalg.norm(m - q, axis=1)
+        got = distances_from("euclidean", q, m, overwrite_input=overwrite)
+        assert np.array_equal(got, want)
         assert got.shape == (rows,) and got.dtype == np.float64
-        assert np.array_equal(m, before)
-
-    @settings(max_examples=200)
-    @given(data=st.data(), rows=st.integers(1, 30), dim=st.integers(1, 5),
-           dtype=st.sampled_from(["int64", "float32", "float64"]), read_only=st.booleans())
-    def test_overwrite_input_equals_norm_of_gather(self, data, rows, dim, dtype, read_only):
-        # a gather handed over with overwrite_input gives the reference
-        # np.linalg.norm(m[ids] - q, axis=1) bit for bit; only a writeable
-        # float64 gather is written, and the matrix it came from never is
-        elements = (st.integers(-10**6, 10**6) if dtype == "int64"
-                    else st.floats(-1e6, 1e6, width=32 if dtype == "float32" else 64))
-        m = data.draw(arrays(dtype, (rows, dim), elements=elements))
-        m.flags.writeable = False
-        ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=2 * rows)),
-                       dtype=np.int64)
-        q = data.draw(arrays("float64", dim, elements=st.floats(-1e6, 1e6)))
-        want = np.linalg.norm(m[ids] - q, axis=1)
-        gather = np.take(m, ids, axis=0)
-        gather.flags.writeable = not read_only
-        kept = gather.copy()
-        got = distances_from("euclidean", q, gather, overwrite_input=True)
-        assert np.array_equal(got, want) and got.dtype == np.float64
-        if read_only or dtype != "float64":
-            assert np.array_equal(gather, kept)
+        if not (overwrite and writeable and dtype == "float64"):
+            assert np.array_equal(m, before)
 
     @settings(max_examples=300)
     @given(ids=st.lists(st.integers(-3, 40), max_size=30),

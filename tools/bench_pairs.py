@@ -3,8 +3,9 @@
 Run from the repository root. Extracts the committed tree of ``REV`` (the
 parent) into a temporary directory with ``git archive``, then runs
 ``bench/run.py`` in that checkout and in the working tree, one pair per
-seed. Odd seeds run the parent first, even seeds the change, so host
-drift does not favour one side. Every run must report ``correct`` with 0
+seed: ``PAIRS`` pairs of every workload, each run as long as
+``BENCHMARK.json``'s ``run_seconds``. Odd seeds run the parent first, even
+seeds the change, so host drift does not favour one side. Every run must report ``correct`` with 0
 failed, or the script stops. Writes ``BENCH_<N>.json``: for each workload
 and each end-to-end metric of ``BENCHMARK.json``, both sides' runs, their
 median and quartiles, the ratio of medians, and the number of pairs the
@@ -27,6 +28,7 @@ import tempfile
 import numpy as np
 
 WORKLOADS = ("query", "grid", "ingest")
+PAIRS = 10  # the fewest pairs a gain claim is judged on
 TRACED_SEED = 3
 
 
@@ -63,19 +65,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the 'before' side")
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (seeds 1..N)")
-    ap.add_argument("--seconds", type=float, default=15.0, help="measured seconds per run")
     ap.add_argument("--traced-seconds", type=float, default=0.0,
                     help="seconds of one traced run per side and workload; 0 skips them")
-    ap.add_argument("--method", default="", help="a note appended to the method field")
     args = ap.parse_args(argv)
-    workloads = args.workloads.split(",")
-    if not set(workloads) <= set(WORKLOADS) or args.pairs < 1:
-        ap.error(f"--workloads must name some of {WORKLOADS}; --pairs must be at least 1")
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], stdout=subprocess.PIPE,
                          text=True, check=True).stdout.strip()
     parent = tempfile.mkdtemp(prefix=f"bench-parent-{rev}-")
@@ -84,27 +81,26 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
         sides = {"before": parent, "after": os.getcwd()}
         report = {
-            "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g}"
+            "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds:g}"
                        " --trace 0|1",
             "host": f"{os.cpu_count()}-core {platform.machine()}, Python "
                     f"{platform.python_version()}, numpy {np.__version__}",
             "parent": rev,
             "method": "tools/bench_pairs.py: parent (git archive of the parent revision) and "
                       "change each run from their own tree; pairs alternate which side runs "
-                      "first (odd seeds parent first); every run correct with 0 failed. "
-                      + args.method,
+                      "first (odd seeds parent first); every run correct with 0 failed.",
             "untraced": {},
         }
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs = {"before": [], "after": []}
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 order = ("before", "after") if seed % 2 else ("after", "before")
                 for side in order:
-                    metrics = bench(sides[side], workload, seed, args.seconds, 0)
+                    metrics = bench(sides[side], workload, seed, seconds, 0)
                     runs[side].append(metrics)
                     print(f"{workload} seed {seed} {side}: {json.dumps(metrics)}",
                           file=sys.stderr, flush=True)
-            entry = {"seeds": list(range(1, args.pairs + 1)), "pairs": args.pairs}
+            entry = {"seeds": list(range(1, PAIRS + 1)), "pairs": PAIRS}
             for name, direction in better.items():
                 entry[name] = summarize(
                     [float(f"{m[name]:.4g}") for m in runs["before"]],
@@ -114,7 +110,7 @@ def main(argv=None) -> int:
             report["traced"] = {
                 "seed": TRACED_SEED, "seconds": args.traced_seconds,
                 **{w: {side: bench(tree, w, TRACED_SEED, args.traced_seconds, 1)
-                       for side, tree in sides.items()} for w in workloads},
+                       for side, tree in sides.items()} for w in WORKLOADS},
             }
     finally:
         shutil.rmtree(parent, ignore_errors=True)
