@@ -2,7 +2,7 @@
 
 Datasets are stored column-wise (attribute vector plus feature and embedding
 matrices) so million-object populations stay cheap to hold and slice;
-``DataObject`` is a per-row view for callers that want one record at a time.
+``DataObject`` is one query target, built by ``sprint.resolve_query_object``.
 
 File format is JSON Lines: a header line carrying the dimensions and the
 attribute bounds, then one object per line::
@@ -37,7 +37,7 @@ _WITHIN_CLUSTER_SCALE = 1.0
 
 @dataclass(frozen=True)
 class DataObject:
-    """One population member: identity, target attribute, both embeddings."""
+    """One query target: id (-1 for an external vector), attribute, both embeddings."""
 
     id: int
     attr_value: float
@@ -46,7 +46,7 @@ class DataObject:
 
 
 class Dataset:
-    """The population: columnar storage with per-row ``DataObject`` views.
+    """The population, stored column by column.
 
     Object ids are dense in ``[0, n)`` by construction. All four columns
     are required: ``features`` is (n, feature_dim), ``oracle_emb`` and
@@ -117,17 +117,6 @@ class Dataset:
     @property
     def embedding_dim(self) -> int:
         return self.oracle_emb.shape[1]
-
-    def object(self, obj_id: int) -> DataObject:
-        i = int(obj_id)
-        if not 0 <= i < len(self):
-            raise DataError(f"object id {obj_id} outside [0, {len(self)})")
-        return DataObject(
-            id=i,
-            attr_value=float(self.attrs[i]),
-            oracle_embedding=self.oracle_emb[i],
-            proxy_embedding=self.proxy_emb[i],
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):

@@ -26,18 +26,18 @@ import numpy as np
 from .aggregate import SCOPE_SAMPLE, SCOPE_TRUTH, AggregationContext, aggregate, relative_error
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
-from .errors import DegenerateNeighborhoodError, UsageError
+from .errors import DegenerateNeighborhoodError
 from .frnn import NeighborSet, prf1
 from .models import CallLedger, oracle_model, proxy_model, speedup
 from .seeding import derive_seed
 from .sprint import (
-    ALGORITHMS,
     QuerySpec,
     SelectionResult,
     SprintConfig,
     draw_pilot,
     draw_sample,
     oracle_scan,
+    parse_algorithm,
     resolve_query_object,
     select,
     select_neighbors,
@@ -51,21 +51,6 @@ def canonical_json(payload) -> str:
     """The canonical, byte-reproducible text of a JSON payload; a
     non-finite float in it is a ``ValueError``, never ``NaN`` or ``Infinity``."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def parse_algorithm(spec: str) -> tuple[str, float | None]:
-    """Split an algorithm spec like ``pqe_pt_fixed:0.95`` into (name, param)."""
-    if spec.startswith("pqe_pt_fixed"):
-        _, _, raw = spec.partition(":")
-        if not raw:
-            raise UsageError("pqe_pt_fixed needs a target, e.g. pqe_pt_fixed:0.95")
-        t = float(raw)
-        if not 0.0 <= t <= 1.0:
-            raise UsageError("fixed precision target must lie in [0, 1]")
-        return "pqe_pt_fixed", t
-    if spec in ALGORITHMS:
-        return spec, None
-    raise UsageError(f"unknown algorithm {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +196,7 @@ def ground_truth(
     aggs = list(aggs) if aggs is not None else [query.agg]
     ledger = CallLedger()
     q_obj = resolve_query_object(ds, query.q_id)
-    on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle_model(), ledger)
+    on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, ledger)
     ctx = AggregationContext(
         sample_size_s=len(ds), population_size_D=len(ds), scope=SCOPE_TRUTH
     )
@@ -300,14 +285,10 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
 
     results = []
     for spec in cfg.algorithms:
-        algorithm, fixed_t = parse_algorithm(spec)
         ledger = CallLedger()
         start = time.perf_counter()
         try:
-            res = select(
-                algorithm, query, cfg.sprint, ds, oracle_model(), proxy_model(),
-                sample_ids, pilot_ids, ledger, fixed_t,
-            )
+            res = select(spec, query, cfg.sprint, ds, sample_ids, pilot_ids, ledger)
         except DegenerateNeighborhoodError as exc:
             cell = CellResult(
                 algorithm=spec, query_id=query_id, trial=trial,

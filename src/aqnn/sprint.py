@@ -8,10 +8,10 @@ count-sensitive ones (PCT, COUNT) get a binary search balancing pilot
 precision against recall; SUM runs the balance search first and then
 refines the target within +-TWO_PHASE_WINDOW for F1.
 
-``select`` is the one dispatch from an algorithm name in ``ALGORITHMS``
-to selection code: the three searches, the fixed-target cutoff, and the
-top_k and brute_force baselines. ``select_neighbors`` draws the sample and
-pilot and runs the aggregation's search through it.
+``select`` is the one dispatch from an algorithm spec to selection code:
+the three searches, the fixed-target cutoff, and the top_k and brute_force
+baselines. ``select_neighbors`` draws the sample and pilot and runs the
+aggregation's search through it. Each step reads the model its role fixes.
 
 One root seed drives independent derived streams for the sample and the
 pilot, so resizing the pilot never perturbs the sample. The ledger over a
@@ -35,9 +35,10 @@ from .frnn import (
     NeighborSet,
     distances_from,
     exact_frnn,
+    in_sorted,
     top_k_baseline,
 )
-from .models import CallLedger, EmbeddingModel, embed_many
+from .models import CallLedger, EmbeddingModel, embed_many, oracle_model, proxy_model
 from .seeding import spawn_rng
 
 SENSITIVITY = {"AVG": "value", "VAR": "value", "PCT": "count", "COUNT": "count", "SUM": "both"}
@@ -49,6 +50,25 @@ ALGORITHMS = ("sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed", "top_k", "bru
 TWO_PHASE_WINDOW = 0.05  # half-width of the refinement window around the balanced target
 
 _NO_PILOT_TRUE_MSG = "pilot contains no true neighbors; increase s_p or r"
+
+_ORACLE, _PROXY = oracle_model(), proxy_model()  # the model each step's role fixes
+
+
+def parse_algorithm(spec: str) -> tuple[str, float | None]:
+    """Split an algorithm spec into (name, fixed target): a name in
+    ``ALGORITHMS`` exactly, with a target in [0, 1] for pqe_pt_fixed only."""
+    name, colon, raw = spec.partition(":")
+    if name not in ALGORITHMS or (colon and name != "pqe_pt_fixed"):
+        raise ValueError(f"unknown algorithm {spec!r}")
+    if name != "pqe_pt_fixed":
+        return name, None
+    try:
+        t = float(raw)
+    except ValueError:
+        t = math.nan
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"algorithm {spec!r} needs a target in [0, 1], e.g. pqe_pt_fixed:0.95")
+    return name, t
 
 
 @dataclass(frozen=True)
@@ -159,20 +179,18 @@ class SelectionResult:
 
 
 def oracle_scan(
-    ds: Dataset, query: DataObject, ids: np.ndarray, r: float, metric: str,
-    oracle: EmbeddingModel, ledger: CallLedger,
+    ds: Dataset, query: DataObject, ids: np.ndarray, r: float, metric: str, ledger: CallLedger,
 ) -> NeighborSet:
     """Exact oracle neighborhood of the query among ``ids``.
 
     Charges the ledger one oracle call per id plus one for the query.
     """
-    q_emb = oracle.embed(query, ledger)
-    return exact_frnn(ids, embed_many(oracle, ds, ids, ledger), q_emb, r, metric)
+    q_emb = _ORACLE.embed(query, ledger)
+    return exact_frnn(ids, embed_many(_ORACLE, ds, ids, ledger), q_emb, r, metric)
 
 
 def _proxy_distances(
-    ds: Dataset, query: DataObject, ids: np.ndarray, metric: str,
-    proxy: EmbeddingModel, ledger: CallLedger,
+    ds: Dataset, query: DataObject, ids: np.ndarray, metric: str, ledger: CallLedger,
 ) -> np.ndarray:
     """Proxy distance from the query to each id, charging the proxy calls.
 
@@ -180,8 +198,8 @@ def _proxy_distances(
     kernel squares in it; the read-only matrix of an all-of-D scan is
     left as it is.
     """
-    q_emb = proxy.embed(query, ledger)
-    rows = embed_many(proxy, ds, ids, ledger)
+    q_emb = _PROXY.embed(query, ledger)
+    rows = embed_many(_PROXY, ds, ids, ledger)
     return distances_from(metric, q_emb, rows, overwrite_input=True)
 
 
@@ -213,23 +231,20 @@ class SelectionContext:
         metric: str,
         sample_ids: np.ndarray,
         pilot_ids: np.ndarray,
-        oracle: EmbeddingModel,
-        proxy: EmbeddingModel,
         ledger: CallLedger,
         delta: float = SprintConfig.alpha,
     ) -> "SelectionContext":
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         pilot_ids = np.asarray(pilot_ids, dtype=np.int64)
-        sample_d = _proxy_distances(ds, query, sample_ids, metric, proxy, ledger)
-        at = np.minimum(np.searchsorted(sample_ids, pilot_ids), sample_ids.size - 1)
-        if not np.array_equal(sample_ids[at], pilot_ids):
+        if not in_sorted(pilot_ids, sample_ids).all():
             raise ValueError("pilot ids must lie in the sorted sample ids")
+        sample_d = _proxy_distances(ds, query, sample_ids, metric, ledger)
         return cls(
             sample_ids=sample_ids,
             sample_d=sample_d,
             pilot_ids=pilot_ids,
-            pilot_d=sample_d[at],
-            pilot_truth=oracle_scan(ds, query, pilot_ids, r, metric, oracle, ledger),
+            pilot_d=sample_d[np.searchsorted(sample_ids, pilot_ids)],
+            pilot_truth=oracle_scan(ds, query, pilot_ids, r, metric, ledger),
             r=float(r),
             delta=float(delta),
             ledger=ledger,
@@ -327,62 +342,66 @@ def two_phase(
 
 
 def resolve_query_object(ds: Dataset, q_id) -> DataObject:
-    """Turn a query spec target into a DataObject.
+    """Turn a query target into a DataObject; the one place that does.
 
-    An integer id selects a dataset member; one outside the population
-    raises ``ValueError``, since the target comes from the caller, not the
-    data. An external vector is wrapped as a pseudo-object with id -1 whose
-    oracle and proxy embeddings are both the vector itself.
+    A non-bool integer id selects a member, and one outside the population
+    is a ``ValueError``. A finite vector of ``ds.embedding_dim`` floats
+    becomes a pseudo-object with id -1 whose oracle and proxy embeddings
+    are both the vector. Any other target is a ``ValueError`` naming it.
     """
-    if isinstance(q_id, (int, np.integer)):
+    if isinstance(q_id, (int, np.integer)) and not isinstance(q_id, bool):
         if not 0 <= q_id < len(ds):
             raise ValueError(f"query target {q_id} outside population {len(ds)}")
-        return ds.object(int(q_id))
-    vec = np.asarray(q_id, dtype=np.float64)
-    return DataObject(id=-1, attr_value=float("nan"), oracle_embedding=vec, proxy_embedding=vec)
+        i = int(q_id)
+        return DataObject(i, float(ds.attrs[i]), ds.oracle_emb[i], ds.proxy_emb[i])
+    try:
+        vec = np.asarray(q_id, dtype=np.float64)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (ds.embedding_dim,) or not np.isfinite(vec).all():
+        what = repr(q_id) if vec is None or vec.ndim == 0 else f"vector of shape {vec.shape}"
+        raise ValueError(f"query target {what} is neither an object id nor a finite "
+                         f"vector of {ds.embedding_dim} floats")
+    return DataObject(id=-1, attr_value=math.nan, oracle_embedding=vec, proxy_embedding=vec)
 
 
 def select(
-    algorithm: str, query: QuerySpec, cfg: SprintConfig, ds: Dataset,
-    oracle: EmbeddingModel, proxy: EmbeddingModel,
+    spec: str, query: QuerySpec, cfg: SprintConfig, ds: Dataset,
     sample_ids: np.ndarray, pilot_ids: np.ndarray, ledger: CallLedger,
-    fixed_t: float | None = None,
 ) -> SelectionResult:
-    """Run one selection algorithm on a drawn sample and pilot.
+    """Run the selection algorithm ``spec`` names on a drawn sample and pilot.
 
-    The searches and ``pqe_pt_fixed`` (at target ``fixed_t``) calibrate on
-    the pilot; ``top_k`` labels the whole sample with the oracle and keeps
+    The searches and ``pqe_pt_fixed:<t>`` (at target t) calibrate on the
+    pilot; ``top_k`` labels the whole sample with the oracle and keeps
     the K proxy-nearest, K being the true neighbor count; ``brute_force``
     labels all of D. Every model call is charged to ``ledger``.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    algorithm, target = parse_algorithm(spec)
     q_obj = resolve_query_object(ds, query.q_id)
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
 
     if algorithm == "brute_force":
-        on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, oracle, ledger)
+        on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, ledger)
         chosen = replace(on_d, method="brute_force")
         return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
     if algorithm == "top_k":
         # Oracle labels over the whole sample set the budget K = |ON_S|.
-        k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, oracle, ledger))
+        k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, ledger))
         if k:
-            dists = _proxy_distances(ds, q_obj, sample_ids, query.metric, proxy, ledger)
+            dists = _proxy_distances(ds, q_obj, sample_ids, query.metric, ledger)
             chosen = top_k_baseline(sample_ids, dists, k)
         else:  # nothing to rank; only the target's proxy call is spent
-            proxy.embed(q_obj, ledger)
+            _PROXY.embed(q_obj, ledger)
             chosen = NeighborSet(np.empty(0, dtype=np.int64), "top_k")
         return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
 
     ctx = SelectionContext.build(
-        ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, oracle, proxy, ledger,
-        delta=cfg.alpha,
+        ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, ledger, delta=cfg.alpha,
     )
     # The searches are looked up as module globals at call time, so a tracer
     # that rebinds them (bench/spans.py) sees every call.
     if algorithm == "pqe_pt_fixed":
-        return ctx.result(fixed_t, f"pqe_pt_fixed:{fixed_t:g}")
+        return ctx.result(target, f"pqe_pt_fixed:{target:g}")
     if algorithm == "sprint_v":
         return sprint_v(ctx, cfg.omega_v)
     if algorithm == "sprint_c":
@@ -401,8 +420,12 @@ def select_neighbors(
 
     AVG and VAR route to the F1-maximizing search, PCT and COUNT to the
     precision-recall balancing search, SUM to the two-phase strategy.
+    Any model pair but ``(oracle_model(), proxy_model())`` is a ``ValueError``.
     """
+    if (oracle, proxy) != (_ORACLE, _PROXY):
+        raise ValueError(
+            f"select_neighbors takes (oracle_model(), proxy_model()), got {oracle, proxy}")
     sample_ids = draw_sample(ds, cfg.s, cfg.seed)
     pilot_ids = draw_pilot(sample_ids, cfg.s_p, cfg.seed)
     algorithm = SEARCH_BY_SENSITIVITY[query.sensitivity]
-    return select(algorithm, query, cfg, ds, oracle, proxy, sample_ids, pilot_ids, CallLedger())
+    return select(algorithm, query, cfg, ds, sample_ids, pilot_ids, CallLedger())

@@ -23,9 +23,7 @@ from aqnn import (
     generate_synthetic,
     min_sizes_count,
     min_sizes_value,
-    oracle_model,
     prf1,
-    proxy_model,
     speedup,
     t_test_one_sample,
     ternary_search_max,
@@ -35,7 +33,9 @@ from aqnn.cli import main
 from aqnn.harness import ExperimentConfig, SweepSpec, coverage_check, run_experiment, run_ht_protocol
 from aqnn.models import CallLedger
 from aqnn.seeding import derive_seed, spawn_rng
-from aqnn.sprint import SelectionContext, draw_pilot, draw_sample, sprint_c, sprint_v, two_phase
+from aqnn.sprint import (
+    SelectionContext, draw_pilot, draw_sample, resolve_query_object, sprint_c, sprint_v, two_phase,
+)
 from aqnn.bounds import BoundsInput
 
 
@@ -79,7 +79,6 @@ def test_criterion_03_zero_noise_equivalence():
             proxy_noise_sigma=0.0, seed=41,
         )
     )
-    oracle, proxy = oracle_model(), proxy_model()
     query_pool = [int(i) for i in spawn_rng(41, "queries").choice(len(ds), 10, replace=False)]
     r = 6.5
     exact, total = 0, 0
@@ -89,8 +88,7 @@ def test_criterion_03_zero_noise_equivalence():
         sample = draw_sample(ds, 1000, seed)
         pilot = draw_pilot(sample, 600, seed)
         ctx = SelectionContext.build(
-            ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy,
-            CallLedger(),
+            ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, CallLedger()
         )
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
         for out in (sprint_v(ctx, 0.01), sprint_c(ctx, 0.01), two_phase(ctx, 0.01, 0.01)):
@@ -172,7 +170,6 @@ def _criterion_07_trials():
             proxy_noise_sigma=0.3, seed=77,
         )
     )
-    oracle, proxy = oracle_model(), proxy_model()
     q_id, r = 11, 5.6
     rows = []
     for trial in range(30):
@@ -180,8 +177,7 @@ def _criterion_07_trials():
         sample = draw_sample(ds, 7000, seed)
         pilot = draw_pilot(sample, 5000, seed)
         ctx = SelectionContext.build(
-            ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy,
-            CallLedger(),
+            ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, CallLedger()
         )
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
         fixed = ctx.select_on_sample(0.95, "pqe_pt_fixed")

@@ -9,6 +9,7 @@ that stopped reading them would otherwise fail only in a benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ def _bench_module(name):
     return module
 
 
+def _resolve(module, path):
+    obj = importlib.import_module(module)
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
 def _span_targets():
     return [(module, path) for _, module, path, *_ in _bench_module("spans").TARGETS]
 
@@ -37,10 +45,22 @@ def test_public_name_resolves(name):
 
 @pytest.mark.parametrize("module,path", _span_targets())
 def test_traced_name_resolves(module, path):
-    obj = importlib.import_module(module)
-    for part in path.split("."):
-        obj = getattr(obj, part)
-    assert callable(obj)
+    assert callable(_resolve(module, path))
+
+
+# The argument positions the bench/spans.py hooks read; a method's 0 is self.
+TRACED_ARGS = [
+    ("aqnn.models", "embed_many", {2: "ids", 3: "ledger"}),
+    ("aqnn.models", "EmbeddingModel.embed", {2: "ledger"}),
+    ("aqnn.dataset", "save_dataset", {0: "ds"}),
+]
+
+
+@pytest.mark.parametrize("module,path,args", TRACED_ARGS, ids=[t[1] for t in TRACED_ARGS])
+def test_traced_argument_positions(module, path, args):
+    assert (module, path) in _span_targets()
+    names = list(inspect.signature(_resolve(module, path)).parameters)
+    assert {pos: names[pos] for pos in args} == args
 
 
 def test_benchmark_input_file_loads(tmp_path):

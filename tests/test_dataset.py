@@ -11,6 +11,7 @@ from aqnn import (
     load_dataset,
     save_dataset,
 )
+from aqnn.sprint import resolve_query_object
 
 
 def _write_lines(path, lines):
@@ -309,7 +310,7 @@ class TestDatasetInvariants:
             clean_ds.attrs[0] = 1.0
 
     def test_object_view(self, tiny_ds):
-        obj = tiny_ds.object(5)
+        obj = resolve_query_object(tiny_ds, 5)
         assert obj.id == 5
         assert obj.attr_value == 80.0
         assert np.array_equal(obj.oracle_embedding, [3.0, 4.0])

@@ -5,13 +5,13 @@ import pytest
 
 from aqnn import QuerySpec, SprintConfig, SyntheticGenConfig, generate_synthetic
 from aqnn.dataset import Dataset, load_dataset, save_dataset
+from aqnn.sprint import parse_algorithm
 from aqnn.harness import (
     ExperimentConfig,
     SweepSpec,
     canonical_json,
     coverage_check,
     ground_truth,
-    parse_algorithm,
     run_experiment,
     run_ht_protocol,
 )
@@ -139,10 +139,23 @@ class TestRunExperiment:
             assert cell.oracle_calls == 200 + 1  # whole sample plus the target
 
     def test_fixed_target_parse_errors(self):
-        with pytest.raises(Exception, match="needs a target"):
-            parse_algorithm("pqe_pt_fixed")
-        with pytest.raises(Exception, match="unknown algorithm"):
-            parse_algorithm("annoy")
+        # the name must match exactly, and every error names the whole spec
+        assert parse_algorithm("pqe_pt_fixed:0.9") == ("pqe_pt_fixed", 0.9)
+        assert parse_algorithm("top_k") == ("top_k", None)
+        cases = [
+            ("pqe_pt_fixed", "needs a target"),
+            ("pqe_pt_fixed:", "needs a target"),
+            ("annoy", "unknown algorithm"),
+            ("pqe_pt_fixedX:0.5", "unknown algorithm"),
+            ("sprint_v:0.5", "unknown algorithm"),
+            ("pqe_pt_fixed:abc", r"needs a target in \[0, 1\]"),
+            ("pqe_pt_fixed:1.5", r"needs a target in \[0, 1\]"),
+            ("pqe_pt_fixed:nan", r"needs a target in \[0, 1\]"),
+        ]
+        for spec, why in cases:
+            with pytest.raises(ValueError, match=why) as exc:
+                parse_algorithm(spec)
+            assert repr(spec) in str(exc.value)
 
     def test_radius_sweep_reports_density(self, small_ds):
         cfg = small_config(

@@ -50,7 +50,7 @@ class TestEmbedAccounting:
     def test_repeat_embed_charged_once(self, tiny_ds, models):
         oracle, _ = models
         ledger = CallLedger()
-        obj = tiny_ds.object(2)
+        obj = resolve_query_object(tiny_ds, 2)
         v1 = oracle.embed(obj, ledger)
         v2 = oracle.embed(obj, ledger)
         assert np.array_equal(v1, v2)
@@ -60,7 +60,7 @@ class TestEmbedAccounting:
         _, proxy = models
         ledger = CallLedger()
         for i in range(5):
-            proxy.embed(tiny_ds.object(i), ledger)
+            proxy.embed(resolve_query_object(tiny_ds, i), ledger)
         assert ledger.proxy_calls == 5
         assert ledger.oracle_calls == 0
 
@@ -74,7 +74,8 @@ class TestEmbedAccounting:
             l1, l2 = CallLedger(), CallLedger()
             for ids in batches:
                 bulk = embed_many(model, tiny_ds, ids, l1)
-                single = np.vstack([model.embed(tiny_ds.object(i), l2) for i in ids])
+                objs = [resolve_query_object(tiny_ds, i) for i in ids]
+                single = np.vstack([model.embed(obj, l2) for obj in objs])
                 assert np.array_equal(bulk, single)
                 assert l1.as_dict() == l2.as_dict()
             model.embed(external, l1)

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -33,17 +34,19 @@ def _target(ds, sample, pilot, where):
     return ds.oracle_emb[int(pilot[0])] + 0.01  # an external feature vector
 
 
+def _spec(algorithm):
+    return "pqe_pt_fixed:0.9" if algorithm == "pqe_pt_fixed" else algorithm
+
+
 @pytest.mark.parametrize("where", ["pilot", "sample", "population", "external"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_ledger_closed_form(noisy_ds, models, drawn, algorithm, where):
+def test_ledger_closed_form(noisy_ds, drawn, algorithm, where):
     sample, pilot = drawn
     q_id = _target(noisy_ds, sample, pilot, where)
     query = QuerySpec(q_id=q_id, r=6.0, agg="AVG")
     ledger = CallLedger()
-    res = select(
-        algorithm, query, SprintConfig(s=S, s_p=S_P), noisy_ds, *models,
-        sample, pilot, ledger, fixed_t=0.9 if algorithm == "pqe_pt_fixed" else None,
-    )
+    res = select(_spec(algorithm), query, SprintConfig(s=S, s_p=S_P), noisy_ds,
+                 sample, pilot, ledger)
     assert res.ledger is ledger
     assert len(res.neighbors) > 0
     outside_sample = where in ("population", "external")
@@ -65,7 +68,7 @@ def _norm_kernel(metric, q_emb, matrix, overwrite_input=False):
 
 @pytest.mark.parametrize("s", [S, "all"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_proxy_scan_writes_only_its_own_gather(noisy_ds, models, monkeypatch, algorithm, s):
+def test_proxy_scan_writes_only_its_own_gather(noisy_ds, monkeypatch, algorithm, s):
     # the proxy kernel squares in the gather embed_many returned; a sample
     # of all of D is scanned as the read-only stored matrix itself. Either
     # way the outputs equal the reference kernel's and the stored
@@ -83,9 +86,8 @@ def test_proxy_scan_writes_only_its_own_gather(noisy_ds, models, monkeypatch, al
 
     def run(kernel):
         monkeypatch.setattr(sprint, "distances_from", kernel)
-        return select(algorithm, query, SprintConfig(s=s, s_p=S_P), noisy_ds, *models,
-                      sample, pilot, CallLedger(),
-                      fixed_t=0.9 if algorithm == "pqe_pt_fixed" else None)
+        return select(_spec(algorithm), query, SprintConfig(s=s, s_p=S_P), noisy_ds,
+                      sample, pilot, CallLedger())
 
     got, want = run(spy), run(_norm_kernel)
     assert (noisy_ds.proxy_emb.tobytes(), noisy_ds.oracle_emb.tobytes()) == stored
@@ -96,10 +98,21 @@ def test_proxy_scan_writes_only_its_own_gather(noisy_ds, models, monkeypatch, al
     assert scanned == ([] if algorithm == "brute_force" else [(full, not full)])
 
 
-def test_unknown_algorithm_rejected(noisy_ds, models, drawn):
+def test_unknown_algorithm_rejected(noisy_ds, drawn):
     with pytest.raises(ValueError, match="unknown algorithm"):
         select("annoy", QuerySpec(q_id=0, r=6.0, agg="AVG"), SprintConfig(s=S, s_p=S_P),
-               noisy_ds, *models, *drawn, CallLedger())
+               noisy_ds, *drawn, CallLedger())
+
+
+@pytest.mark.parametrize("spec", ["pqe_pt_fixed", "sprint_v:0.9"])
+def test_target_only_where_the_algorithm_takes_one(noisy_ds, drawn, spec):
+    # pqe_pt_fixed needs its target in the spec; no other algorithm takes one.
+    # The spec is read before any model call is charged.
+    ledger = CallLedger()
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        select(spec, QuerySpec(q_id=0, r=6.0, agg="AVG"), SprintConfig(s=S, s_p=S_P),
+               noisy_ds, *drawn, ledger)
+    assert ledger.as_dict() == {"oracle_calls": 0, "proxy_calls": 0}
 
 
 # sha256 of canonical outputs recorded before the selection dispatch was

@@ -12,15 +12,18 @@ from aqnn import (
     draw_pilot,
     draw_sample,
     exact_frnn,
+    oracle_model,
     prf1,
+    proxy_model,
     select_neighbors,
     sprint_c,
     sprint_v,
     ternary_search_max,
     two_phase,
 )
+from aqnn.harness import ground_truth
 from aqnn.seeding import spawn_rng
-from aqnn.sprint import SelectionContext
+from aqnn.sprint import SelectionContext, resolve_query_object
 
 
 def expected_ternary_iterations(omega):
@@ -48,13 +51,12 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
     )
 
 
-def build_clean_context(ds, q_id, r, s, s_p, seed, models):
-    oracle, proxy = models
+def build_clean_context(ds, q_id, r, s, s_p, seed):
     ledger = CallLedger()
     sample = draw_sample(ds, s, seed)
     pilot = draw_pilot(sample, s_p, seed)
     ctx = SelectionContext.build(
-        ds, ds.object(q_id), r, "euclidean", sample, pilot, oracle, proxy, ledger
+        ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, ledger
     )
     return ctx, sample, ledger
 
@@ -139,29 +141,29 @@ class TestTernarySearch:
 
 
 class TestSprintV:
-    def test_zero_noise_recovers_exact_frnn(self, clean_ds, models):
-        ctx, sample, _ = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1, models)
+    def test_zero_noise_recovers_exact_frnn(self, clean_ds):
+        ctx, sample, _ = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1)
         out = sprint_v(ctx, 0.01)
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[17], 6.0)
         assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert prf1(out.neighbors, truth)[2] == 1.0
         assert out.neighbors.method == "sprint_v"
 
-    def test_iteration_count(self, clean_ds, models):
-        ctx, _, _ = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2, models)
+    def test_iteration_count(self, clean_ds):
+        ctx, _, _ = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2)
         for omega in (0.05, 0.01):
             out = sprint_v(ctx, omega)
             assert out.probes == 2 * expected_ternary_iterations(omega)
 
-    def test_degenerate_pilot_raises(self, clean_ds, models):
-        ctx, _, _ = build_clean_context(clean_ds, 17, 1e-9, 400, 50, 3, models)
+    def test_degenerate_pilot_raises(self, clean_ds):
+        ctx, _, _ = build_clean_context(clean_ds, 17, 1e-9, 400, 50, 3)
         with pytest.raises(DegenerateNeighborhoodError, match="pilot contains no true"):
             sprint_v(ctx, 0.01)
 
 
 class TestSprintC:
-    def test_zero_noise_exits_on_first_probe(self, clean_ds, models):
-        ctx, sample, _ = build_clean_context(clean_ds, 8, 6.0, 800, 250, 4, models)
+    def test_zero_noise_exits_on_first_probe(self, clean_ds):
+        ctx, sample, _ = build_clean_context(clean_ds, 8, 6.0, 800, 250, 4)
         out = sprint_c(ctx, 0.01)
         assert out.probes == 1
         assert out.t_star == 0.5
@@ -169,8 +171,8 @@ class TestSprintC:
         assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert out.neighbors.method == "sprint_c"
 
-    def test_iteration_cap_respected(self, clean_ds, models):
-        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 5, models)
+    def test_iteration_cap_respected(self, clean_ds):
+        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 5)
         out = sprint_c(ctx, 1e-12, max_iters=1)
         assert out.probes == 1
         assert out.t_star == 0.5
@@ -191,15 +193,15 @@ class TestSprintC:
         p, r, _ = ctx.pilot_prf1(out.t_star)
         assert abs(p - r) == pytest.approx(expected_min, abs=1e-12)
 
-    def test_probe_stays_strictly_inside_interval(self, clean_ds, models):
-        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 6, models)
+    def test_probe_stays_strictly_inside_interval(self, clean_ds):
+        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 6)
         out = sprint_c(ctx, 1e-12, max_iters=25)
         assert 0.0 < out.t_star < 1.0
 
 
 class TestTwoPhase:
-    def test_zero_noise_matches_other_selectors(self, clean_ds, models):
-        ctx, sample, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 7, models)
+    def test_zero_noise_matches_other_selectors(self, clean_ds):
+        ctx, sample, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 7)
         tp = two_phase(ctx, 0.01, 0.01)
         sv = sprint_v(ctx, 0.01)
         sc = sprint_c(ctx, 0.01)
@@ -207,16 +209,16 @@ class TestTwoPhase:
         assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
         assert tp.neighbors.method == "two_phase"
 
-    def test_refined_target_within_window(self, clean_ds, models):
-        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 8, models)
+    def test_refined_target_within_window(self, clean_ds):
+        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 8)
         sc = sprint_c(ctx, 0.01)
         tp = two_phase(ctx, 0.01, 0.01)
         assert sc.t_star - 0.05 - 1e-12 <= tp.t_star <= sc.t_star + 0.05 + 1e-12
 
-    def test_flat_f1_keeps_balanced_selection(self, clean_ds, models):
+    def test_flat_f1_keeps_balanced_selection(self, clean_ds):
         # zero noise: F1 is flat at 1 around the balanced target, so the
         # refinement must not change the selected set
-        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 9, models)
+        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 9)
         sc = sprint_c(ctx, 0.01)
         tp = two_phase(ctx, 0.01, 0.01)
         assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
@@ -277,6 +279,54 @@ class TestSelectNeighbors:
         r2 = select_neighbors(q, cfg, noisy_ds, oracle, proxy)
         assert np.array_equal(r1.neighbors.member_ids, r2.neighbors.member_ids)
         assert r1.t_star == r2.t_star
+
+    @pytest.mark.parametrize("pair", ["swapped", "oracle twice", "proxy twice"])
+    def test_model_pair_checked(self, clean_ds, pair):
+        # each step reads its own model, so any pair but (oracle, proxy) is an error
+        o, p = oracle_model(), proxy_model()
+        oracle, proxy = {"swapped": (p, o), "oracle twice": (o, o), "proxy twice": (p, p)}[pair]
+        with pytest.raises(ValueError, match=r"\(oracle_model\(\), proxy_model\(\)\)"):
+            select_neighbors(QuerySpec(q_id=2, r=6.0, agg="AVG"), SprintConfig(s=300, s_p=100),
+                             clean_ds, oracle, proxy)
+
+
+_BAD_TARGETS = {
+    "nan vector": lambda ds: np.where(np.arange(ds.embedding_dim) == 3, np.nan, ds.oracle_emb[0]),
+    "inf vector": lambda ds: np.full(ds.embedding_dim, np.inf),
+    "short vector": lambda ds: ds.oracle_emb[0][:-1],
+    "matrix": lambda ds: ds.oracle_emb[:2],
+    "float id": lambda ds: 3.0,
+    "bool id": lambda ds: True,
+    "numpy bool id": lambda ds: np.True_,
+    "none": lambda ds: None,
+    "text": lambda ds: "abc",
+}
+
+
+@pytest.mark.parametrize("run", ["select_neighbors", "ground_truth"])
+@pytest.mark.parametrize("target", sorted(_BAD_TARGETS))
+def test_bad_query_target_raises(clean_ds, models, run, target):
+    # only a non-bool integer id or a finite vector of embedding_dim floats
+    # is a target; anything else fails before any answer is produced
+    query = QuerySpec(q_id=_BAD_TARGETS[target](clean_ds), r=6.0, agg="PCT")
+    with pytest.raises(ValueError, match="query target .* neither an object id nor a finite "
+                                         "vector of 16 floats"):
+        if run == "select_neighbors":
+            select_neighbors(query, SprintConfig(s=300, s_p=100), clean_ds, *models)
+        else:
+            ground_truth(clean_ds, query)
+
+
+def test_empty_sample_raises_before_any_call(clean_ds):
+    # a pilot outside the sample is named, even when the sample is empty,
+    # and no model call is charged for it
+    ledger = CallLedger()
+    query = resolve_query_object(clean_ds, 2)
+    for sample, pilot in [([], [3]), ([1, 2, 4], [3])]:
+        with pytest.raises(ValueError, match="pilot ids must lie in the sorted sample ids"):
+            SelectionContext.build(clean_ds, query, 6.0, "euclidean", np.array(sample, np.int64),
+                                   np.array(pilot, np.int64), ledger)
+    assert ledger.as_dict() == {"oracle_calls": 0, "proxy_calls": 0}
 
 
 class TestBalancedCountIdentity:
