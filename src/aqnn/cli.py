@@ -17,16 +17,17 @@ import math
 import os
 import sys
 
-from .aggregate import AGGREGATIONS, SCOPE_SAMPLE, AggregationContext, aggregate, relative_error
+from .aggregate import AGGREGATIONS, SCOPE_SAMPLE, AggregationContext, aggregate
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import SyntheticGenConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import DataError, DegenerateNeighborhoodError, UsageError
-from .frnn import VALID_METRICS, prf1
+from .frnn import VALID_METRICS
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
     SweepSpec,
     canonical_json,
+    evaluate_cell,
     ground_truth,
     run_experiment,
     run_ht_protocol,
@@ -170,13 +171,13 @@ def _cmd_query(args) -> int:
     if args.truth:
         # the search found a true neighbor in the pilot, so ON_D is never empty here
         gt = ground_truth(ds, query, [query.agg])
-        truth_val = gt.agg_values[query.agg]
-        p, r, f1 = prf1(res.neighbors, gt.within(res.sample_ids))
+        cell = evaluate_cell(res.neighbors.method, q_id, 0, res, ds, [query.agg], cfg.s, gt,
+                             gt.within(res.sample_ids))
         payload.update(
-            truth=truth_val,
-            re_pct=relative_error(estimate, truth_val) if truth_val != 0 else None,
-            f1_s=f1,
-            pr_gap=abs(p - r),
+            truth=gt.agg_values[query.agg],
+            re_pct=cell.re_pct[query.agg],
+            f1_s=cell.f1_s,
+            pr_gap=cell.pr_gap,
             on_d_size=len(gt.on_d),
         )
     if args.json:

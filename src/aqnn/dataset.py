@@ -12,6 +12,8 @@ attribute bounds, then one object per line::
 
 Every record must carry ``attr``, ``features``, ``oracle_emb`` and
 ``proxy_emb``; a record missing one is a ``DataError`` naming its line.
+Record i (0-based) is object i; its optional ``id`` must be i, or the
+record is a ``DataError`` naming its line.
 ``feature_dim`` and ``embedding_dim`` are positive integers. When the header omits
 ``attr_bounds`` they are derived from the data, which weakens any error
 guarantee computed from them; the bounds calculators warn in that case.
@@ -246,7 +248,7 @@ def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Load a JSONL dataset; ids are re-indexed densely in line order."""
+    """Load a JSONL dataset; record i is object i, and its ``id``, if given, must be i."""
     header = None
     attrs: list[float] = []
     features: list[np.ndarray] = []
@@ -282,6 +284,10 @@ def load_dataset(path: str) -> Dataset:
                 )
             if type(record["attr"]) not in _NUMBER:
                 raise DataError(f"line {line_no}: attr must be a number")
+            rid = record.get("id", len(attrs))
+            if type(rid) is not int or rid != len(attrs):
+                raise DataError(f"line {line_no}: id {rid!r} is not the record's position "
+                                f"{len(attrs)}")
             attrs.append(float(record["attr"]))
             features.append(_parse_vector(record, "features", feature_dim, line_no))
             oracle_rows.append(_parse_vector(record, "oracle_emb", embedding_dim, line_no))

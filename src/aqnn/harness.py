@@ -34,6 +34,7 @@ from .sprint import (
     QuerySpec,
     SelectionResult,
     SprintConfig,
+    as_query_id,
     draw_pilot,
     draw_sample,
     oracle_scan,
@@ -95,6 +96,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not (self.cost_ratio > 0 and np.isfinite(self.cost_ratio)):
             raise ValueError(f"cost ratio must be positive and finite, got {self.cost_ratio:g}")
+        self.query_ids = tuple(as_query_id(q) for q in self.query_ids)
         if not self.query_ids:
             raise ValueError("need at least one query target")
         if not self.aggs:
@@ -122,19 +124,22 @@ class GroundTruth:
 
 @dataclass
 class CellResult:
+    """One cell's scores; the defaults describe a degenerate cell, whose
+    selection raised before it chose anything."""
+
     algorithm: str
     query_id: int
     trial: int
     estimates: dict[str, float | None]
     re_pct: dict[str, float | None]
-    f1_s: float | None
-    pr_gap: float | None
-    t_star: float | None
     oracle_calls: int
     proxy_calls: int
-    selected: int
-    degenerate: bool
     note: str
+    f1_s: float | None = None
+    pr_gap: float | None = None
+    t_star: float | None = None
+    selected: int = 0
+    degenerate: bool = True
     wall_time_s: float = 0.0  # set by the caller, which times the whole cell
     sweep_value: float | None = None
 
@@ -222,23 +227,27 @@ def _aggregate_all(
     return out
 
 
-def _evaluate_cell(
+def evaluate_cell(
     algorithm: str,
     query_id: int,
     trial: int,
     res: SelectionResult,
     ds: Dataset,
     aggs: Sequence[str],
-    cfg: SprintConfig,
+    s: int,
     gt: GroundTruth,
     on_s: NeighborSet,
 ) -> CellResult:
+    """Score a selection, the one rule: estimates scaled from a sample of
+    ``s``, relative errors (None where undefined or the truth is 0), and F1
+    and |P - R| against ``on_s``, the truth within the sample; brute force
+    is scored on all of D."""
     chosen = res.neighbors
     if algorithm == "brute_force":
         ctx = AggregationContext(len(ds), len(ds), SCOPE_TRUTH)
         truth_for_f1 = gt.on_d
     else:
-        ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
+        ctx = AggregationContext(s, len(ds), SCOPE_SAMPLE)
         truth_for_f1 = on_s
 
     estimates = _aggregate_all(aggs, ds, chosen, ctx)
@@ -261,21 +270,21 @@ def _evaluate_cell(
         trial=trial,
         estimates=estimates,
         re_pct=re_pct,
+        oracle_calls=res.ledger.oracle_calls,
+        proxy_calls=res.ledger.proxy_calls,
+        note=note,
         f1_s=f1,
         pr_gap=abs(p - r),
         t_star=res.t_star,
-        oracle_calls=res.ledger.oracle_calls,
-        proxy_calls=res.ledger.proxy_calls,
         selected=len(chosen),
         degenerate=degenerate,
-        note=note,
     )
 
 
 def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                qi: int, trial: int) -> list[CellResult]:
     """All algorithms for one (query, trial) pair, sharing sample and pilot."""
-    query_id = int(cfg.query_ids[qi])
+    query_id = cfg.query_ids[qi]
     cell_seed = derive_seed(cfg.seed, "cell", qi, trial)
     sample_ids = draw_sample(ds, cfg.sprint.s, cell_seed)
     pilot_ids = draw_pilot(sample_ids, cfg.sprint.s_p, cell_seed)
@@ -292,14 +301,11 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
         except DegenerateNeighborhoodError as exc:
             cell = CellResult(
                 algorithm=spec, query_id=query_id, trial=trial,
-                estimates={a: None for a in cfg.aggs},
-                re_pct={a: None for a in cfg.aggs},
-                f1_s=None, pr_gap=None, t_star=None,
-                oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls,
-                selected=0, degenerate=True, note=str(exc),
+                estimates=dict.fromkeys(cfg.aggs), re_pct=dict.fromkeys(cfg.aggs),
+                oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls, note=str(exc),
             )
         else:
-            cell = _evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint, gt, on_s)
+            cell = evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint.s, gt, on_s)
         cell.wall_time_s = time.perf_counter() - start
         results.append(cell)
     return results
@@ -356,7 +362,7 @@ def _config_digest(cfg: ExperimentConfig, ds: Dataset) -> dict:
     del sprint["seed"]  # cells derive their own seeds from the root seed
     return {
         "population_size": len(ds),
-        "query_ids": [int(q) for q in cfg.query_ids],
+        "query_ids": list(cfg.query_ids),
         "r": cfg.r,
         "metric": cfg.metric,
         "aggs": list(cfg.aggs),
@@ -372,8 +378,8 @@ def _prepare_pass(cfg: ExperimentConfig) -> tuple[Dataset, dict[int, GroundTruth
     ds = cfg.dataset if cfg.dataset is not None else generate_synthetic(cfg.gen_config)
     gts: dict[int, GroundTruth] = {}
     for q in cfg.query_ids:
-        query = QuerySpec(q_id=int(q), r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
-        gts[int(q)] = ground_truth(ds, query, cfg.aggs)
+        query = QuerySpec(q_id=q, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
+        gts[q] = ground_truth(ds, query, cfg.aggs)
     return ds, gts
 
 
@@ -381,10 +387,10 @@ def _pass_report(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth]
                  cells: list[CellResult]) -> MetricsReport:
     gt_payload = {
         str(q): {
-            "agg": gts[int(q)].agg_values,
-            "on_d_size": len(gts[int(q)].on_d),
-            "density": gts[int(q)].density,
-            "oracle_calls": gts[int(q)].oracle_calls,
+            "agg": gts[q].agg_values,
+            "on_d_size": len(gts[q].on_d),
+            "density": gts[q].density,
+            "oracle_calls": gts[q].oracle_calls,
         }
         for q in cfg.query_ids
     }
@@ -414,9 +420,8 @@ def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         n = len(sub.dataset) if sub.dataset is not None else sub.gen_config.n_objects
         if sub.sprint.s > n:
             raise ValueError(f"sample size {sub.sprint.s} exceeds population {n}")
-        outside = [int(q) for q in sub.query_ids if not 0 <= int(q) < n]
-        if outside:
-            raise ValueError(f"query target {outside[0]} outside population {n}")
+        for q in sub.query_ids:
+            as_query_id(q, n)
     except ValueError as exc:
         raise ValueError(f"{axis} sweep value {value:g}: {exc}") from exc
     return sub
@@ -596,6 +601,10 @@ def run_ht_protocol(
     decisions scored against it. AVG uses the t-test on neighbor values,
     PCT the proportion z-test on the neighborhood fraction; both test at
     the pipeline's confidence ``sprint_cfg.alpha``.
+
+    Every id is checked by ``sprint.as_query_id`` before any ground truth.
+    A degenerate trial is left out: a cell scores the rest and its note
+    counts the lost ones, and a query with no trial left is skipped.
     """
     if agg not in ("AVG", "PCT"):
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
@@ -606,6 +615,7 @@ def run_ht_protocol(
     for op in ops:
         if op not in OPS:
             raise ValueError(f"op must be one of {OPS}, got {op!r}")
+    query_ids = [as_query_id(q, len(ds)) for q in query_ids]
     oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 
@@ -619,7 +629,7 @@ def run_ht_protocol(
     per_factor: dict[float, list[float]] = {f: [] for f in factors}
     skipped = 0
     for qi, q in enumerate(query_ids):
-        query = QuerySpec(q_id=int(q), r=r, agg=agg, metric=metric)
+        query = QuerySpec(q_id=q, r=r, agg=agg, metric=metric)
         gt = ground_truth(ds, query, [agg])
         truth_val = gt.agg_values[agg]
         if truth_val is None or truth_val == 0:
@@ -630,8 +640,15 @@ def run_ht_protocol(
         trial_selections = []
         for trial in range(k_samples):
             cfg_trial = replace(sprint_cfg, seed=derive_seed(seed, "ht", qi, trial))
-            res = select_neighbors(query, cfg_trial, ds, oracle, proxy)
+            try:
+                res = select_neighbors(query, cfg_trial, ds, oracle, proxy)
+            except DegenerateNeighborhoodError:
+                continue
             trial_selections.append(res.neighbors.member_ids)
+        if not trial_selections:
+            skipped += 1
+            continue
+        lost = k_samples - len(trial_selections)
 
         for factor in factors:
             for op in ops:
@@ -649,8 +666,10 @@ def run_ht_protocol(
                     else:
                         acc = ht_accuracy(est, [truth_decision] * len(est))
                         per_factor[factor].append(acc)
+                        if lost:
+                            note = f"{lost} of {k_samples} trials degenerate"
                 per_cell.append(
-                    {"query_id": int(q), "factor": factor, "op": op, "accuracy": acc, "note": note}
+                    {"query_id": q, "factor": factor, "op": op, "accuracy": acc, "note": note}
                 )
 
     factor_means = {

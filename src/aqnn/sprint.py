@@ -341,18 +341,30 @@ def two_phase(
     return ctx.result(t_star, "two_phase", probes_c + 2 * iterations)
 
 
+def _is_object_id(q) -> bool:
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+
+
+def as_query_id(q, n: int | None = None) -> int:
+    """The one id rule: ``q`` as an ``int`` if it is a non-bool integer, in
+    ``[0, n)`` when ``n`` is given; else a ``ValueError`` naming it."""
+    if not _is_object_id(q):
+        raise ValueError(f"query target {q!r} is not an integer object id")
+    if n is not None and not 0 <= q < n:
+        raise ValueError(f"query target {q} outside population {n}")
+    return int(q)
+
+
 def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     """Turn a query target into a DataObject; the one place that does.
 
-    A non-bool integer id selects a member, and one outside the population
-    is a ``ValueError``. A finite vector of ``ds.embedding_dim`` floats
-    becomes a pseudo-object with id -1 whose oracle and proxy embeddings
-    are both the vector. Any other target is a ``ValueError`` naming it.
+    An object id selects a member under ``as_query_id``'s rule. A finite
+    vector of ``ds.embedding_dim`` floats becomes a pseudo-object with id
+    -1 whose oracle and proxy embeddings are both the vector. Any other
+    target is a ``ValueError`` naming it.
     """
-    if isinstance(q_id, (int, np.integer)) and not isinstance(q_id, bool):
-        if not 0 <= q_id < len(ds):
-            raise ValueError(f"query target {q_id} outside population {len(ds)}")
-        i = int(q_id)
+    if _is_object_id(q_id):
+        i = as_query_id(q_id, len(ds))
         return DataObject(i, float(ds.attrs[i]), ds.oracle_emb[i], ds.proxy_emb[i])
     try:
         vec = np.asarray(q_id, dtype=np.float64)

@@ -77,12 +77,36 @@ class TestLoadDataset:
         assert ds.bounds_source == "data"
 
     def test_ids_reindexed_densely(self, tmp_path):
+        # an id that is not the record's position is an error, never re-indexed
         path = tmp_path / "ids.jsonl"
         _write_lines(
             path, [HEADER, _record(17, 1.0, [0.0, 0.0]), _record(99, 2.0, [1.0, 1.0])]
         )
+        with pytest.raises(DataError, match="line 2: id 17 is not the record's position 0"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "second_id,message",
+        [(0, "line 3: id 0 is not the record's position 1"),
+         (2, "line 3: id 2 is not the record's position 1"),
+         (True, "line 3: id True is not the record's position 1"),
+         (1.0, "line 3: id 1.0 is not the record's position 1"),
+         ("1", "line 3: id '1' is not the record's position 1")],
+    )
+    def test_mismatched_id_names_line(self, tmp_path, second_id, message):
+        path = tmp_path / "ids.jsonl"
+        _write_lines(path, [HEADER, _record(0, 1.0, [0.0, 0.0]),
+                            _record(second_id, 2.0, [1.0, 1.0])])
+        with pytest.raises(DataError, match=message):
+            load_dataset(str(path))
+
+    def test_id_may_be_left_out(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        first = _record(0, 1.0, [0.0, 0.0])
+        del first["id"]
+        _write_lines(path, [HEADER, first, _record(1, 2.0, [1.0, 1.0])])
         ds = load_dataset(str(path))
-        assert list(ds.ids) == [0, 1]
+        assert list(ds.ids) == [0, 1] and list(ds.attrs) == [1.0, 2.0]
 
     @pytest.mark.parametrize(
         "record,message",

@@ -1,10 +1,22 @@
+import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from aqnn import QuerySpec, SprintConfig, SyntheticGenConfig, generate_synthetic
+from aqnn import (
+    QuerySpec,
+    SprintConfig,
+    SyntheticGenConfig,
+    draw_sample,
+    generate_synthetic,
+    oracle_model,
+    proxy_model,
+    select_neighbors,
+)
 from aqnn.dataset import Dataset, load_dataset, save_dataset
+from aqnn.seeding import derive_seed
 from aqnn.sprint import parse_algorithm
 from aqnn.harness import (
     ExperimentConfig,
@@ -31,6 +43,13 @@ def small_noisy_ds():
             n_objects=800, embedding_dim=8, n_clusters=4, proxy_noise_sigma=0.6, seed=32
         )
     )
+
+
+def with_points(ds, emb, attrs):
+    """``ds`` plus objects at ``emb`` (oracle and proxy alike) with ``attrs``."""
+    return Dataset(np.append(ds.attrs, attrs), np.vstack([ds.features, emb]),
+                   np.vstack([ds.oracle_emb, emb]), np.vstack([ds.proxy_emb, emb]),
+                   ds.attr_bounds)
 
 
 def small_config(ds, **kw):
@@ -262,6 +281,21 @@ class TestRunExperiment:
         rows = report.to_csv_rows()
         assert "wall_time_s" in rows[0]
 
+    def test_degenerate_cell_fields(self, small_ds):
+        # a radius this small leaves only the target as a true neighbor, and
+        # a target outside the sample is in no pilot, so the search gives up
+        sample = draw_sample(small_ds, 200, derive_seed(9, "cell", 0, 0))
+        q = int(np.setdiff1d(small_ds.ids, sample)[0])
+        report = run_experiment(small_config(small_ds, query_ids=[q], r=1e-9,
+                                             algorithms=["sprint_v"], trials=1))
+        assert report.to_json_dict()["cells"] == [{
+            "algorithm": "sprint_v", "query_id": q, "trial": 0,
+            "estimates": {"AVG": None, "PCT": None}, "re_pct": {"AVG": None, "PCT": None},
+            "f1_s": None, "pr_gap": None, "t_star": None, "selected": 0,
+            "degenerate": True, "note": "pilot contains no true neighbors; increase s_p or r",
+            "proxy_calls": 200 + 1, "oracle_calls": 80 + 1,  # s + 1 and s_p + 1
+        }]
+
     def test_degenerate_cells_recorded_not_fatal(self, small_ds):
         # radius so small the pilot finds no true neighbors
         cfg = small_config(small_ds, r=0.05, algorithms=["sprint_v"], trials=2)
@@ -383,3 +417,67 @@ class TestHtProtocol:
             run_ht_protocol(small_ds, query_ids=[3], r=5.0, agg="AVG",
                             sprint_cfg=SprintConfig(s=250, s_p=80, seed=0), k_samples=k)
         assert calls == []
+
+    def test_all_degenerate_query_skipped(self, small_ds):
+        # a far outlier is its own only neighbour and lies in no pilot of
+        # these trials; the query beside it keeps its own result
+        ds = with_points(small_ds, np.full((1, 8), 100.0), 80.0)
+        kw = dict(r=5.0, agg="AVG", sprint_cfg=SprintConfig(s=250, s_p=80, seed=0),
+                  factors=[0.5, 1.5], k_samples=5, seed=0)
+        out = run_ht_protocol(ds, query_ids=[3, 800], **kw)
+        alone = run_ht_protocol(ds, query_ids=[3], **kw)
+        assert out["skipped_queries"] == 1
+        assert out["cells"] == alone["cells"]
+        assert out["mean_accuracy"] == alone["mean_accuracy"] == 1.0
+
+    def test_lost_trials_noted(self, small_ds):
+        # a far group of 12 is missed by the pilot in 3 of these 10 trials
+        rng = np.random.default_rng(0)
+        ds = with_points(small_ds, 100.0 + rng.normal(0, 0.5, size=(12, 8)),
+                         rng.uniform(70, 90, 12))
+        out = run_ht_protocol(ds, query_ids=[3, 800], r=5.0, agg="PCT",
+                              sprint_cfg=SprintConfig(s=250, s_p=80, seed=0),
+                              factors=[0.5, 1.5], k_samples=10, seed=1)
+        noted = [c for c in out["cells"] if c["note"] == "3 of 10 trials degenerate"]
+        assert [c["query_id"] for c in noted] == [800, 800]
+        assert all(round(c["accuracy"] * 7, 9).is_integer() for c in noted)
+
+
+_NOT_IDS = [3.7, True, np.float64(3.0), "3"]
+
+
+@pytest.mark.parametrize("run", ["ExperimentConfig", "run_ht_protocol", "ground_truth",
+                                 "select_neighbors"])
+@pytest.mark.parametrize("q", _NOT_IDS, ids=repr)
+def test_non_integer_query_id_raises(small_ds, monkeypatch, run, q):
+    # every entry point reads ids by one rule, and never truncates them;
+    # the protocol checks all of its ids before the first ground truth
+    import aqnn.harness
+
+    calls = []
+    monkeypatch.setattr(aqnn.harness, "ground_truth", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(f"query target {q!r} ")):
+        if run == "ExperimentConfig":
+            small_config(small_ds, query_ids=[3, q])
+        elif run == "run_ht_protocol":
+            run_ht_protocol(small_ds, query_ids=[3, q], r=5.0, agg="AVG",
+                            sprint_cfg=SprintConfig(s=250, s_p=80, seed=0))
+        elif run == "ground_truth":
+            ground_truth(small_ds, QuerySpec(q_id=q, r=5.0, agg="AVG"))
+        else:
+            select_neighbors(QuerySpec(q_id=q, r=5.0, agg="AVG"), SprintConfig(s=250, s_p=80),
+                             small_ds, oracle_model(), proxy_model())
+    assert calls == []
+
+
+def test_numpy_query_id_reported_as_json_integer(small_ds):
+    report = run_experiment(small_config(small_ds, query_ids=[np.int64(3)],
+                                         algorithms=["sprint_v"], trials=1))
+    payload = json.loads(report.to_json())
+    assert payload["config"]["query_ids"] == [3]
+    assert list(payload["ground_truth"]) == ["3"]
+    assert payload["cells"][0]["query_id"] == 3
+    out = run_ht_protocol(small_ds, query_ids=[np.int64(3)], r=5.0, agg="AVG",
+                          sprint_cfg=SprintConfig(s=250, s_p=80, seed=0), factors=[1.5],
+                          k_samples=2)
+    assert {type(c["query_id"]) for c in out["cells"]} == {int}
