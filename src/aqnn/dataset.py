@@ -17,6 +17,15 @@ record is a ``DataError`` naming its line.
 ``feature_dim`` and ``embedding_dim`` are positive integers. When the header omits
 ``attr_bounds`` they are derived from the data, which weakens any error
 guarantee computed from them; the bounds calculators warn in that case.
+Bytes that are not UTF-8, integers too large for a float and values nested
+too deeply to parse are also ``DataError``s naming their line.
+
+``load_dataset`` parses the file line by line and converts the records
+``_CHUNK`` at a time, column by column: one type check over each column's
+values, one ``np.array`` and one shape check. The blocks are joined once at
+the end, one column at a time, so a load peaks below twice the size of its
+columns. A block that breaks any rule is rescanned record by record, so the
+error always names the first bad line.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -213,7 +223,15 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
 
 
 # JSON numbers only: ``type`` excludes bool, which ``isinstance(x, int)`` admits.
-_NUMBER = (int, float)
+_NUMBER = frozenset((int, float))
+
+# Records per column block: large enough that the per-block numpy calls are
+# noise, small enough that one block of parsed JSON stays a few MB.
+_CHUNK = 1024
+
+# Record columns in ``Dataset`` order; ``attr`` is a number, the rest vectors.
+_COLUMNS = ("attr", "features", "oracle_emb", "proxy_emb")
+_RECORD_KEYS = frozenset(_COLUMNS)
 
 
 def _header_dim(header: dict, key: str, line_no: int) -> int:
@@ -221,6 +239,14 @@ def _header_dim(header: dict, key: str, line_no: int) -> int:
     if type(dim) is not int or dim < 1:
         raise DataError(f"line {line_no}: {key} must be an integer >= 1, got {dim!r}")
     return dim
+
+
+def _check_floats(values: list, key: str, line_no: int) -> None:
+    """Every number converts to a float: a JSON integer may be too large for one."""
+    try:
+        list(map(float, values))
+    except OverflowError:
+        raise DataError(f"line {line_no}: {key} holds a number too large for a float") from None
 
 
 def _header_bounds(header: dict, line_no: int) -> tuple[float, float] | None:
@@ -233,76 +259,160 @@ def _header_bounds(header: dict, line_no: int) -> tuple[float, float] | None:
         or not all(type(x) in _NUMBER for x in bounds)
     ):
         raise DataError(f"line {line_no}: header attr_bounds must be [a, b]")
+    _check_floats(bounds, "header attr_bounds", line_no)
     if not all(math.isfinite(x) for x in bounds):
         raise DataError(f"line {line_no}: header attr_bounds must be finite, got {bounds}")
     return float(bounds[0]), float(bounds[1])
 
 
-def _parse_vector(record: dict, key: str, dim: int, line_no: int) -> np.ndarray:
+# ``json.loads`` without its per-call checks: on a stripped line that parses
+# whole it returns the same object.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str, line_no: int) -> dict:
+    """One non-blank, stripped line as a JSON object."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")  # undecodable bytes were read as lone surrogates
+        except UnicodeEncodeError:
+            raise DataError(f"line {line_no}: not UTF-8 text") from None
+    try:
+        record, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):  # not one JSON document: json.loads raises its own error
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except ValueError:  # an integer past Python's digit limit
+            raise DataError(f"line {line_no}: number too large to read") from None
+        except RecursionError:
+            raise DataError(f"line {line_no}: JSON nested too deeply") from None
+    if not isinstance(record, dict):
+        raise DataError(f"line {line_no}: expected a JSON object")
+    return record
+
+
+def _check_vector(record: dict, key: str, dim: int, line_no: int) -> None:
     vec = record[key]
     if not isinstance(vec, list) or not all(type(x) in _NUMBER for x in vec):
         raise DataError(f"line {line_no}: {key} must be a list of numbers")
     if len(vec) != dim:
         raise DataError(f"line {line_no}: {key} has length {len(vec)}, expected {dim}")
-    return np.asarray(vec, dtype=np.float64)
+    _check_floats(vec, key, line_no)
+
+
+def _check_records(records: list[dict], lines: list[int], start: int, dims: dict) -> None:
+    """The per-record rules, in file order: raise for the first bad record."""
+    for pos, (record, line_no) in enumerate(zip(records, lines), start):
+        if type(record["attr"]) not in _NUMBER:
+            raise DataError(f"line {line_no}: attr must be a number")
+        rid = record.get("id", pos)
+        if type(rid) is not int or rid != pos:
+            raise DataError(f"line {line_no}: id {rid!r} is not the record's position {pos}")
+        _check_floats([record["attr"]], "attr", line_no)
+        for key, dim in dims.items():
+            _check_vector(record, key, dim, line_no)
+
+
+def _fast_block(records: list[dict], start: int, dims: dict) -> list[np.ndarray] | None:
+    """The records' columns, one array each, or None when any record breaks a rule.
+
+    Types are checked before ``np.array``, which would accept a bool among
+    floats, parse the string ``"1.0"``, and compare ``True`` equal to 1.
+    """
+    stop = start + len(records)
+    ids = [r.get("id", pos) for pos, r in zip(range(start, stop), records)]
+    attrs = [r["attr"] for r in records]
+    if (set(map(type, ids)) != {int} or ids != list(range(start, stop))
+            or not set(map(type, attrs)) <= _NUMBER):
+        return None
+    try:
+        block = [np.array(attrs, dtype=np.float64)]
+        for key, dim in dims.items():
+            rows = [r[key] for r in records]
+            if (set(map(type, rows)) != {list}
+                    or not set(map(type, chain.from_iterable(rows))) <= _NUMBER):
+                return None
+            block.append(np.array(rows, dtype=np.float64))
+            if block[-1].shape != (len(records), dim):
+                return None
+    except (OverflowError, ValueError):  # an integer too large, or rows of unequal length
+        return None
+    return block
 
 
 def load_dataset(path: str) -> Dataset:
-    """Load a JSONL dataset; record i is object i, and its ``id``, if given, must be i."""
-    header = None
-    attrs: list[float] = []
-    features: list[np.ndarray] = []
-    oracle_rows: list[np.ndarray] = []
-    proxy_rows: list[np.ndarray] = []
+    """Load a JSONL dataset; record i is object i, and its ``id``, if given, must be i.
 
-    with open(path, "r", encoding="utf-8") as fh:
+    Records are parsed line by line and converted ``_CHUNK`` at a time, one
+    numpy block per column; the blocks are joined once at the end.
+    """
+    header = None
+    dims: dict[str, int] = {}
+    records: list[dict] = []
+    lines: list[int] = []
+    columns: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
+    n = 0
+
+    def flush() -> None:
+        """Convert the pending records; a bad block is rescanned record by
+        record so the error names the first bad line."""
+        nonlocal n
+        block = _fast_block(records, n, dims)
+        if block is None:
+            _check_records(records, lines, n, dims)
+            raise RuntimeError(f"lines {lines[0]}-{lines[-1]}: the column checks rejected "
+                               "records the per-record checks accept")
+        for col, arr in zip(columns, block):
+            col.append(arr)
+        n += len(records)
+        records.clear()
+        lines.clear()
+
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"line {line_no}: expected a JSON object")
-
-            if header is None:
-                if "feature_dim" not in record or "embedding_dim" not in record:
+                record = _parse_line(line, line_no)
+                if header is None:
+                    if "feature_dim" not in record or "embedding_dim" not in record:
+                        raise DataError(f"line {line_no}: header must declare feature_dim "
+                                        "and embedding_dim")
+                    header = record
+                    feature_dim = _header_dim(record, "feature_dim", line_no)
+                    embedding_dim = _header_dim(record, "embedding_dim", line_no)
+                    dims = {"features": feature_dim,
+                            "oracle_emb": embedding_dim, "proxy_emb": embedding_dim}
+                    bounds = _header_bounds(record, line_no)
+                    continue
+                if not record.keys() >= _RECORD_KEYS:
                     raise DataError(
-                        f"line {line_no}: header must declare feature_dim and embedding_dim"
+                        f"line {line_no}: record needs attr, features, oracle_emb, proxy_emb"
                     )
-                header = record
-                feature_dim = _header_dim(record, "feature_dim", line_no)
-                embedding_dim = _header_dim(record, "embedding_dim", line_no)
-                bounds = _header_bounds(record, line_no)
-                continue
-
-            if not record.keys() >= {"attr", "features", "oracle_emb", "proxy_emb"}:
-                raise DataError(
-                    f"line {line_no}: record needs attr, features, oracle_emb, proxy_emb"
-                )
-            if type(record["attr"]) not in _NUMBER:
-                raise DataError(f"line {line_no}: attr must be a number")
-            rid = record.get("id", len(attrs))
-            if type(rid) is not int or rid != len(attrs):
-                raise DataError(f"line {line_no}: id {rid!r} is not the record's position "
-                                f"{len(attrs)}")
-            attrs.append(float(record["attr"]))
-            features.append(_parse_vector(record, "features", feature_dim, line_no))
-            oracle_rows.append(_parse_vector(record, "oracle_emb", embedding_dim, line_no))
-            proxy_rows.append(_parse_vector(record, "proxy_emb", embedding_dim, line_no))
-
-    if header is None or not attrs:
+            except DataError:
+                _check_records(records, lines, n, dims)  # an earlier bad record wins
+                raise
+            records.append(record)
+            lines.append(line_no)
+            if len(records) == _CHUNK:
+                flush()
+    if records:
+        flush()
+    if header is None or n == 0:
         raise DataError("empty dataset")
 
-    return Dataset(
-        attrs=np.asarray(attrs),
-        features=np.vstack(features),
-        oracle_emb=np.vstack(oracle_rows),
-        proxy_emb=np.vstack(proxy_rows),
-        attr_bounds=bounds,
-    )
+    # Join one column at a time, dropping its blocks before the next.
+    arrays = []
+    while columns:
+        arrays.append(np.concatenate(columns.pop(0)))
+    attrs, features, oracle_emb, proxy_emb = arrays
+    return Dataset(attrs=attrs, features=features, oracle_emb=oracle_emb,
+                   proxy_emb=proxy_emb, attr_bounds=bounds)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:

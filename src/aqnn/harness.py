@@ -603,8 +603,10 @@ def run_ht_protocol(
     the pipeline's confidence ``sprint_cfg.alpha``.
 
     Every id is checked by ``sprint.as_query_id`` before any ground truth.
-    A degenerate trial is left out: a cell scores the rest and its note
-    counts the lost ones, and a query with no trial left is skipped.
+    A degenerate trial is left out: one whose selection fails, or whose
+    estimate test is undefined (say, a t-test on a single member). A cell
+    scores the rest and its note counts the lost ones; a query with no
+    selection left is skipped.
     """
     if agg not in ("AVG", "PCT"):
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
@@ -648,7 +650,6 @@ def run_ht_protocol(
         if not trial_selections:
             skipped += 1
             continue
-        lost = k_samples - len(trial_selections)
 
         for factor in factors:
             for op in ops:
@@ -659,15 +660,19 @@ def run_ht_protocol(
                 except ValueError as exc:
                     note = str(exc)
                 else:
-                    try:
-                        est = [decide(h, m, sprint_cfg.s) for m in trial_selections]
-                    except ValueError:
+                    est = []
+                    for members in trial_selections:
+                        try:
+                            est.append(decide(h, members, sprint_cfg.s))
+                        except ValueError:  # an undefined test: no decision
+                            continue
+                    if not est:
                         note = "estimate test undefined"
                     else:
                         acc = ht_accuracy(est, [truth_decision] * len(est))
                         per_factor[factor].append(acc)
-                        if lost:
-                            note = f"{lost} of {k_samples} trials degenerate"
+                        if len(est) < k_samples:
+                            note = f"{k_samples - len(est)} of {k_samples} trials degenerate"
                 per_cell.append(
                     {"query_id": q, "factor": factor, "op": op, "accuracy": acc, "note": note}
                 )

@@ -106,6 +106,25 @@ class TestQueryCommand:
         assert code == 3
         assert "pilot contains no true neighbors" in err
 
+    def test_directory_as_data_is_data_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "query", "--data", str(tmp_path), "--q-id", "0")
+        assert code == 2
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("value,message", [
+        (b"1" * 400, "line 2: attr holds a number too large for a float"),
+        (b"1" * 5000, "line 2: number too large to read"),
+        (b'"\xff"', "line 2: not UTF-8 text"),
+    ])
+    def test_malformed_number_or_bytes_is_data_error(self, tmp_path, capsys, value, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"feature_dim": 2, "embedding_dim": 2}\n'
+                         b'{"attr": ' + value + b', "features": [1, 0], "oracle_emb": [1, 0], '
+                         b'"proxy_emb": [1, 0]}\n')
+        code, _, err = run_cli(capsys, "query", "--data", str(path), "--q-id", "0")
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_non_finite_data_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.jsonl"
         path.write_text(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,43 @@ class TestLoadDataset:
         _write_lines(path, [HEADER, _record(0, 1.0, [0.0, 0.0]), missing])
         with pytest.raises(DataError, match="line 3: record needs attr, features, "
                                             "oracle_emb, proxy_emb"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ([HEADER, _record(0, 1.0, [0.0, 0.0]), _record(1, 10**400, [1.0, 1.0])],
+             "line 3: attr holds a number too large for a float"),
+            ([HEADER, _record(0, 1.0, [0.0, -10**400])],
+             "line 2: features holds a number too large for a float"),
+            ([{**HEADER, "attr_bounds": [0, 10**400]}, _record(0, 1.0, [0.0, 0.0])],
+             "line 1: header attr_bounds holds a number too large for a float"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_names_line(self, tmp_path, lines, message):
+        path = tmp_path / "big.jsonl"
+        _write_lines(path, lines)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "attr,message",
+        [("7" * 5000, "line 2: number too large to read"),
+         ("[" * 100_000 + "]" * 100_000, "line 2: JSON nested too deeply")],
+    )
+    def test_unparseable_value_names_line(self, tmp_path, attr, message):
+        path = tmp_path / "value.jsonl"
+        path.write_text(json.dumps(HEADER) + "\n"
+                        + json.dumps(_record(0, 7, [0.0, 0.0])).replace("7", attr) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_dataset(str(path))
+
+    def test_bytes_not_utf8_name_line(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(json.dumps(HEADER).encode() + b"\n"
+                         + json.dumps({**_record(0, 1.0, [0.0, 0.0]), "note": "x"})
+                         .encode().replace(b'"x"', b'"\xff"') + b"\n")
+        with pytest.raises(DataError, match="^line 2: not UTF-8 text$"):
             load_dataset(str(path))
 
     def test_roundtrip_equality(self, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -441,6 +442,22 @@ class TestHtProtocol:
         noted = [c for c in out["cells"] if c["note"] == "3 of 10 trials degenerate"]
         assert [c["query_id"] for c in noted] == [800, 800]
         assert all(round(c["accuracy"] * 7, 9).is_integer() for c in noted)
+
+    def test_single_member_trial_leaves_the_rest_scored(self):
+        # At r = 4.5 most trials select only the target, whose t-test is
+        # undefined. Such a trial gives no decision and counts as lost; the
+        # cell scores its other trials instead of reading None. (At r = 4 no
+        # trial selects two members, so every cell stays undefined.)
+        ds = generate_synthetic(SyntheticGenConfig(n_objects=5000, seed=7))
+        out = run_ht_protocol(ds, query_ids=range(10), r=4.5, agg="AVG",
+                              sprint_cfg=SprintConfig(s=500, s_p=60, seed=0),
+                              k_samples=30, seed=0)
+        assert Counter(c["note"] for c in out["cells"]) == {
+            "estimate test undefined": 294, "26 of 30 trials degenerate": 42,
+            "29 of 30 trials degenerate": 42}
+        assert all((c["accuracy"] is None) == (c["note"] == "estimate test undefined")
+                   for c in out["cells"])
+        assert out["mean_accuracy"] == pytest.approx(0.9375)
 
 
 _NOT_IDS = [3.7, True, np.float64(3.0), "3"]
