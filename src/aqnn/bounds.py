@@ -13,7 +13,8 @@ COUNT) through the precision-recall balance tolerance ``omega_c``. SUM
 takes the max of a count-driven and a mean-driven requirement on both
 sizes. The selection-error tolerance a given ``lambda_`` implies is
 reported back as ``omega_nn_implied`` for value-sensitive aggregates.
-``min_sizes`` picks the calculator from the aggregation.
+``min_sizes`` picks the calculator from the aggregation's sensitivity in
+``aggregate.SENSITIVITY``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 
+from .aggregate import SENSITIVITY
 from .errors import require_finite
 
 _DATA_BOUNDS_WARNING = (
@@ -83,7 +85,7 @@ def _require_span(inp: BoundsInput) -> float:
 
 def min_sizes_value(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes for value-sensitive aggregates (AVG, VAR)."""
-    if agg not in ("AVG", "VAR"):
+    if SENSITIVITY.get(agg) != "value":
         raise ValueError(f"value-sensitive calculator got {agg!r}")
     span = _require_span(inp)
     ln2a = math.log(2.0 / inp.alpha)
@@ -126,7 +128,7 @@ def min_sizes_value(agg: str, inp: BoundsInput) -> BoundsOutput:
 
 def min_sizes_count(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes for count-sensitive aggregates (PCT, COUNT)."""
-    if agg not in ("PCT", "COUNT"):
+    if SENSITIVITY.get(agg) != "count":
         raise ValueError(f"count-sensitive calculator got {agg!r}")
     ln2a = math.log(2.0 / inp.alpha)
 
@@ -202,15 +204,15 @@ def min_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     that overflows, a divisor that underflows to 0, or a bound that comes
     out infinite. Each raises ``ValueError`` naming the inputs given.
     """
+    if agg not in SENSITIVITY:
+        raise ValueError(f"unknown aggregation {agg!r}")
     try:
-        if agg in ("AVG", "VAR"):
+        if SENSITIVITY[agg] == "value":
             out = min_sizes_value(agg, inp)
-        elif agg in ("PCT", "COUNT"):
+        elif SENSITIVITY[agg] == "count":
             out = min_sizes_count(agg, inp)
-        elif agg == "SUM":
-            out = min_sizes_sum(inp)
         else:
-            raise ValueError(f"unknown aggregation {agg!r}")
+            out = min_sizes_sum(inp)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range(agg, inp) from exc
     if not all(map(math.isfinite, [*out.details.values(), out.omega_nn_implied or 0.0])):

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .aggregate import AGGREGATIONS, SCOPE_SAMPLE, AggregationContext, aggregate
+from .aggregate import AGGREGATIONS, AggregationContext, aggregate
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import SyntheticGenConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import DataError, DegenerateNeighborhoodError, UsageError
@@ -151,8 +151,8 @@ def _cmd_query(args) -> int:
     res = select_neighbors(query, cfg, ds, oracle_model(), proxy_model())
 
     members = res.neighbors.member_ids
-    est_ctx = AggregationContext(cfg.s, len(ds), SCOPE_SAMPLE)
-    estimate = aggregate(query.agg, ds.attrs[members], len(members), est_ctx)
+    estimate = aggregate(query.agg, ds.attrs[members], len(members),
+                         AggregationContext(cfg.s, len(ds)))
 
     payload = {
         "query_id": int(q_id),
@@ -171,7 +171,7 @@ def _cmd_query(args) -> int:
     if args.truth:
         # the search found a true neighbor in the pilot, so ON_D is never empty here
         gt = ground_truth(ds, query, [query.agg])
-        cell = evaluate_cell(res.neighbors.method, q_id, 0, res, ds, [query.agg], cfg.s, gt,
+        cell = evaluate_cell(res.neighbors.method, q_id, 0, res, ds, [query.agg], gt,
                              gt.within(res.sample_ids))
         payload.update(
             truth=gt.agg_values[query.agg],

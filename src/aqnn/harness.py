@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregate import SCOPE_SAMPLE, SCOPE_TRUTH, AggregationContext, aggregate, relative_error
+from .aggregate import AggregationContext, aggregate, relative_error
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError
@@ -193,7 +193,8 @@ def ground_truth(
     query: QuerySpec,
     aggs: Sequence[str] | None = None,
 ) -> GroundTruth:
-    """Brute-force oracle neighborhood over all of D plus exact aggregates.
+    """Brute-force oracle neighborhood over all of D plus exact aggregates,
+    each the estimate at s = |D|.
 
     Charges |D| oracle calls (plus the query target) to a dedicated ledger
     whose total is reported in the result.
@@ -202,26 +203,25 @@ def ground_truth(
     ledger = CallLedger()
     q_obj = resolve_query_object(ds, query.q_id)
     on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, ledger)
-    ctx = AggregationContext(
-        sample_size_s=len(ds), population_size_D=len(ds), scope=SCOPE_TRUTH
-    )
     return GroundTruth(
         on_d=on_d,
-        agg_values=_aggregate_all(aggs, ds, on_d, ctx),
+        agg_values=_estimates(aggs, ds, on_d.member_ids, len(ds)),
         density=len(on_d) / len(ds),
         oracle_calls=ledger.oracle_calls,
     )
 
 
-def _aggregate_all(
-    aggs: Sequence[str], ds: Dataset, chosen: NeighborSet, ctx: AggregationContext
+def _estimates(
+    aggs: Sequence[str], ds: Dataset, member_ids: np.ndarray, s: int
 ) -> dict[str, float | None]:
-    """Each aggregation over the chosen objects; None where it is degenerate."""
-    values = ds.attrs[chosen.member_ids]
+    """Each aggregation's estimate from the members chosen in a sample of
+    ``s``; None where it is degenerate."""
+    ctx = AggregationContext(s, len(ds))
+    values = ds.attrs[member_ids]
     out: dict[str, float | None] = {}
     for agg in aggs:
         try:
-            out[agg] = aggregate(agg, values, len(chosen), ctx)
+            out[agg] = aggregate(agg, values, member_ids.size, ctx)
         except DegenerateNeighborhoodError:
             out[agg] = None
     return out
@@ -234,23 +234,20 @@ def evaluate_cell(
     res: SelectionResult,
     ds: Dataset,
     aggs: Sequence[str],
-    s: int,
     gt: GroundTruth,
     on_s: NeighborSet,
 ) -> CellResult:
-    """Score a selection, the one rule: estimates scaled from a sample of
-    ``s``, relative errors (None where undefined or the truth is 0), and F1
-    and |P - R| against ``on_s``, the truth within the sample; brute force
-    is scored on all of D."""
+    """Score a selection, the one rule: estimates scaled from the sample it
+    was chosen in, relative errors (None where undefined or the truth is 0),
+    and F1 and |P - R| against ``on_s``, the truth within the sample; brute
+    force chooses in all of D, so it is scored at s = |D| on all of D."""
     chosen = res.neighbors
     if algorithm == "brute_force":
-        ctx = AggregationContext(len(ds), len(ds), SCOPE_TRUTH)
-        truth_for_f1 = gt.on_d
+        s, truth_for_f1 = len(ds), gt.on_d
     else:
-        ctx = AggregationContext(s, len(ds), SCOPE_SAMPLE)
-        truth_for_f1 = on_s
+        s, truth_for_f1 = res.sample_ids.size, on_s
 
-    estimates = _aggregate_all(aggs, ds, chosen, ctx)
+    estimates = _estimates(aggs, ds, chosen.member_ids, s)
     re_pct: dict[str, float | None] = {}
     for agg, est in estimates.items():
         truth_val = gt.agg_values.get(agg)
@@ -305,7 +302,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                 oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls, note=str(exc),
             )
         else:
-            cell = evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, cfg.sprint.s, gt, on_s)
+            cell = evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, gt, on_s)
         cell.wall_time_s = time.perf_counter() - start
         results.append(cell)
     return results
@@ -521,14 +518,15 @@ def coverage_check(
     """Fraction of independent runs landing within omega_s + omega_nn.
 
     Sample and pilot sizes come from the bound calculator matching the
-    query's aggregation; the neighborhood density input is estimated from
-    the brute-force ground truth.
+    query's aggregation; the neighborhood density input, and for SUM the
+    mean magnitude |AVG| and size of the neighborhood, come from the
+    brute-force ground truth.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    gt = ground_truth(ds, query, [query.agg])
-    truth = gt.agg_values[query.agg]
-    if truth is None:
+    gt = ground_truth(ds, query, [query.agg, "AVG"])
+    truth, avg = gt.agg_values[query.agg], gt.agg_values["AVG"]
+    if avg is None:  # AVG is undefined exactly when ON_D is empty
         raise DegenerateNeighborhoodError("ground-truth neighborhood is empty")
     rho = max(gt.density, 1.0 / len(ds))
 
@@ -543,7 +541,7 @@ def coverage_check(
         omega_c=omega_c,
         lambda_=lambda_,
         population_size_D=len(ds),
-        avg_s_abs=abs(gt.agg_values[query.agg]) if query.agg == "SUM" else None,
+        avg_s_abs=abs(avg) if query.agg == "SUM" else None,
         on_d_size=len(gt.on_d) if query.agg == "SUM" else None,
         bounds_data_derived=ds.bounds_source == "data",
     )
@@ -552,7 +550,6 @@ def coverage_check(
     s_p = min(out.s_p_min, s)
 
     tolerance = omega_s + omega_nn
-    ctx = AggregationContext(s, len(ds), SCOPE_SAMPLE)
     failures = 0
     for trial in range(trials):
         cfg = SprintConfig(
@@ -563,7 +560,7 @@ def coverage_check(
         except DegenerateNeighborhoodError:
             failures += 1
             continue
-        est = _aggregate_all([query.agg], ds, res.neighbors, ctx)[query.agg]
+        est = _estimates([query.agg], ds, res.neighbors.member_ids, s)[query.agg]
         if est is None or abs(est - truth) > tolerance:
             failures += 1
     return CoverageResult(

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .aggregate import SENSITIVITY
 from .dataset import DataObject, Dataset
 from .errors import DegenerateNeighborhoodError
 from .frnn import (
@@ -41,7 +41,6 @@ from .frnn import (
 from .models import CallLedger, EmbeddingModel, embed_many, oracle_model, proxy_model
 from .seeding import spawn_rng
 
-SENSITIVITY = {"AVG": "value", "VAR": "value", "PCT": "count", "COUNT": "count", "SUM": "both"}
 SEARCH_BY_SENSITIVITY = {"value": "sprint_v", "count": "sprint_c", "both": "two_phase"}
 
 # Every selection algorithm ``select`` runs; pqe_pt_fixed takes a target.
@@ -207,19 +206,16 @@ def _proxy_distances(
 class SelectionContext:
     """Precomputed state one query's selection algorithms share.
 
-    Sorted sample and pilot id arrays, the pilot within the sample, with
-    aligned proxy distances; ``pilot_truth`` is the oracle neighborhood
-    within the pilot, the only ids the oracle labels. Every probe of a
-    search reads the one ``calibration`` table built from the pilot.
+    Sorted sample and pilot id arrays (the pilot within the sample), the
+    sample's aligned proxy distances, and the calibration table built once
+    from the pilot's proxy distances and oracle labels, the only ids the
+    oracle labels. Every probe of a search reads that table.
     """
 
     sample_ids: np.ndarray
     sample_d: np.ndarray
     pilot_ids: np.ndarray
-    pilot_d: np.ndarray
-    pilot_truth: NeighborSet
-    r: float
-    delta: float
+    table: CalibrationTable
     ledger: CallLedger
 
     @classmethod
@@ -239,34 +235,15 @@ class SelectionContext:
         if not in_sorted(pilot_ids, sample_ids).all():
             raise ValueError("pilot ids must lie in the sorted sample ids")
         sample_d = _proxy_distances(ds, query, sample_ids, metric, ledger)
-        return cls(
-            sample_ids=sample_ids,
-            sample_d=sample_d,
-            pilot_ids=pilot_ids,
-            pilot_d=sample_d[np.searchsorted(sample_ids, pilot_ids)],
-            pilot_truth=oracle_scan(ds, query, pilot_ids, r, metric, ledger),
-            r=float(r),
-            delta=float(delta),
-            ledger=ledger,
-        )
-
-    @cached_property
-    def calibration(self) -> CalibrationTable:
-        """The pilot's calibration table, built on first use and shared by every probe."""
-        return CalibrationTable.build(
-            self.pilot_ids, self.pilot_d, self.pilot_truth, self.delta, self.r
-        )
-
-    def pilot_prf1(self, t: float) -> tuple[float, float, float]:
-        return self.calibration.labeled_prf1(t)
-
-    def select_on_sample(self, t: float, method: str) -> NeighborSet:
-        return self.calibration.select(self.sample_ids, self.sample_d, t, method)
+        pilot_d = sample_d[np.searchsorted(sample_ids, pilot_ids)]
+        pilot_truth = oracle_scan(ds, query, pilot_ids, r, metric, ledger)
+        table = CalibrationTable.build(pilot_ids, pilot_d, pilot_truth, delta, r)
+        return cls(sample_ids, sample_d, pilot_ids, table, ledger)
 
     def result(self, t_star: float, method: str, probes: int = 0) -> SelectionResult:
         """Select on the sample at target t_star and record how it was found."""
         return SelectionResult(
-            neighbors=self.select_on_sample(t_star, method),
+            neighbors=self.table.select(self.sample_ids, self.sample_d, t_star, method),
             sample_ids=self.sample_ids,
             pilot_ids=self.pilot_ids,
             t_star=t_star,
@@ -275,14 +252,14 @@ class SelectionContext:
         )
 
     def require_pilot_truth(self) -> None:
-        if not len(self.pilot_truth):
+        if not self.table.n_truth:
             raise DegenerateNeighborhoodError(_NO_PILOT_TRUE_MSG)
 
 
 def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionResult:
     """Maximize pilot F1 by ternary search over the precision target."""
     ctx.require_pilot_truth()
-    t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v)
+    t_star, iterations = ternary_search_max(lambda t: ctx.table.labeled_prf1(t)[2], omega_v)
     return ctx.result(t_star, "sprint_v", 2 * iterations)
 
 
@@ -300,7 +277,7 @@ def _balance_search(
     probes = 0
     for _ in range(max_iters):
         t = (lo + hi) / 2.0
-        p, r, _ = ctx.pilot_prf1(t)
+        p, r, _ = ctx.table.labeled_prf1(t)
         probes += 1
         gap = abs(r - p)
         if best_gap is None or gap < best_gap:
@@ -337,7 +314,8 @@ def two_phase(
     t_c, probes_c = _balance_search(ctx, omega_c, max_iters)
     lo = max(0.0, t_c - TWO_PHASE_WINDOW)
     hi = min(1.0, t_c + TWO_PHASE_WINDOW)
-    t_star, iterations = ternary_search_max(lambda t: ctx.pilot_prf1(t)[2], omega_v, lo, hi)
+    t_star, iterations = ternary_search_max(
+        lambda t: ctx.table.labeled_prf1(t)[2], omega_v, lo, hi)
     return ctx.result(t_star, "two_phase", probes_c + 2 * iterations)
 
 

@@ -180,7 +180,7 @@ def _criterion_07_trials():
             ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, CallLedger()
         )
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
-        fixed = ctx.select_on_sample(0.95, "pqe_pt_fixed")
+        fixed = ctx.result(0.95, "pqe_pt_fixed").neighbors
         p_f, r_f, f1_f = prf1(fixed, truth)
         sv = sprint_v(ctx, 0.01)
         f1_v = prf1(sv.neighbors, truth)[2]

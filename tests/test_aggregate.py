@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aqnn import AggregationContext, DegenerateNeighborhoodError, aggregate, relative_error
-from aqnn.aggregate import SCOPE_SAMPLE, SCOPE_TRUTH
+from aqnn.aggregate import AGGREGATIONS
 
-TRUTH_CTX = AggregationContext(sample_size_s=10, population_size_D=10, scope=SCOPE_TRUTH)
+TRUTH_CTX = AggregationContext(sample_size_s=10, population_size_D=10)
 
 # Three heart-rate values per the worked neighborhood example: the oracle
 # neighborhood totals 234 (mean 78); the proxy one swaps a 78 for a 100,
@@ -53,7 +53,7 @@ class TestAggregate:
         assert aggregate("SUM", vals, 3, ctx) == pytest.approx(1000 / 50 * 12.0)
 
     def test_truth_scope_pct(self):
-        ctx = AggregationContext(sample_size_s=1000, population_size_D=1000, scope=SCOPE_TRUTH)
+        ctx = AggregationContext(sample_size_s=1000, population_size_D=1000)
         assert aggregate("PCT", [0.0] * 30, 30, ctx) == pytest.approx(0.03)
 
     @given(
@@ -76,6 +76,47 @@ class TestAggregate:
         assert aggregate("VAR", values, len(values), TRUTH_CTX) >= 0.0
         avg = aggregate("AVG", values, len(values), TRUTH_CTX)
         assert min(values) - 1e-9 <= avg <= max(values) + 1e-9
+
+
+def reference_aggregate(agg, values, neighbor_count, s, d, truth_scope):
+    """``aggregate`` as it was with two scopes: the population truth had a
+    formula of its own for COUNT, PCT and SUM; the sample estimate scaled
+    by |D|/s."""
+    vals = np.asarray(values, dtype=np.float64)
+    if agg in ("AVG", "VAR"):
+        if vals.size == 0:
+            raise DegenerateNeighborhoodError("empty neighborhood")
+        if agg == "AVG":
+            return float(vals.mean())
+        return float(np.mean((vals - vals.mean()) ** 2))
+    if agg == "COUNT":
+        return float(neighbor_count) if truth_scope else d * neighbor_count / s
+    if agg == "PCT":
+        return neighbor_count / d if truth_scope else neighbor_count / s
+    total = float(vals.sum())
+    return total if truth_scope else d / s * total
+
+
+def outcome(run):
+    try:
+        return run()
+    except DegenerateNeighborhoodError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), agg=st.sampled_from(AGGREGATIONS), d=st.integers(1, 10**6))
+def test_estimate_at_full_sample_is_the_truth(data, agg, d):
+    # the one estimate rule at s = |D| equals the old truth formula bit for
+    # bit; bags are arbitrary short lists or constant bags up to |D| long
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), max_size=min(d, 40)))
+    else:
+        values = np.full(data.draw(st.integers(0, d)), data.draw(st.floats(-1e6, 1e6)))
+    n = len(values)
+    got = outcome(lambda: aggregate(agg, values, n, AggregationContext(d, d)))
+    assert got == outcome(lambda: reference_aggregate(agg, values, n, d, d, truth_scope=True))
+    assert got == outcome(lambda: reference_aggregate(agg, values, n, d, d, truth_scope=False))
 
 
 class TestRelativeError:

@@ -14,9 +14,7 @@ from aqnn import (
     prf1,
     top_k_baseline,
 )
-from aqnn.frnn import distances_from, in_sorted
-from aqnn.models import CallLedger
-from aqnn.sprint import SelectionContext
+from aqnn.frnn import CalibrationTable, distances_from, in_sorted
 
 
 class TestDist:
@@ -373,7 +371,7 @@ def pqe_pt_per_probe(sample_ids, sample_d, labeled_ids, labeled_d, oracle_truth,
 
 
 class TestCalibrationTable:
-    """A context's table-backed probes against the per-probe selector."""
+    """The table's probes against the per-probe selector."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -406,32 +404,30 @@ class TestCalibrationTable:
         sample_d = np.array([dist[i] for i in sample.tolist()])
         pilot_d = np.array([dist[i] for i in pilot.tolist()])
         truth = NeighborSet(ids_of(truth), "exact_frnn", r)
-        ctx = SelectionContext(sample, sample_d, pilot, pilot_d, truth, r, delta, CallLedger())
+        table = CalibrationTable.build(pilot, pilot_d, truth, delta, r)
 
-        bounds = ctx.calibration.lower
+        bounds = table.lower
         assert bounds == sorted(bounds) and bounds[-1] < 1.0  # so t = 1.0 falls back
         targets = (bounds + [float(np.nextafter(b, 2)) for b in bounds] + [0.0, 1.0]
                    + data.draw(st.lists(st.floats(0.0, 1.0), max_size=10)))
         for t in targets:
             cfg = SimpleNamespace(t=t, delta=delta)
             want = pqe_pt_per_probe(sample, sample_d, pilot, pilot_d, truth, cfg, r)
-            got = ctx.select_on_sample(t, "pqe_pt_fixed")
+            got = table.select(sample, sample_d, t, "pqe_pt_fixed")
             assert np.array_equal(got.member_ids, want.member_ids)
             assert got.threshold_used == want.threshold_used
             on_pilot = pqe_pt_per_probe(pilot, pilot_d, pilot, pilot_d, truth, cfg, r)
-            assert ctx.pilot_prf1(t) == prf1(on_pilot, truth)
+            assert table.labeled_prf1(t) == prf1(on_pilot, truth)
 
     def test_bad_target_fails_on_every_probe(self):
-        ctx = SelectionContext(
-            ids_of([0, 1]), np.array([1.0, 2.0]), ids_of([0]), np.array([1.0]),
-            NeighborSet(ids_of([0]), "exact_frnn", 1.5), 1.5, 0.05, CallLedger(),
-        )
-        ctx.pilot_prf1(0.5)
+        table = CalibrationTable.build(
+            ids_of([0]), np.array([1.0]), NeighborSet(ids_of([0]), "exact_frnn", 1.5), 0.05, 1.5)
+        table.labeled_prf1(0.5)
         for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError, match="precision target"):
-                ctx.pilot_prf1(bad)
+                table.labeled_prf1(bad)
             with pytest.raises(ValueError, match="precision target"):
-                ctx.select_on_sample(bad, "pqe_pt_fixed")
+                table.select(ids_of([0, 1]), np.array([1.0, 2.0]), bad, "pqe_pt_fixed")
 
 
 def top_k_of(dists, k):

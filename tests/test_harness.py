@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aqnn import (
+    DegenerateNeighborhoodError,
     QuerySpec,
     SprintConfig,
     SyntheticGenConfig,
@@ -16,6 +17,7 @@ from aqnn import (
     proxy_model,
     select_neighbors,
 )
+from aqnn.bounds import BoundsInput, min_sizes, reconcile_sizes
 from aqnn.dataset import Dataset, load_dataset, save_dataset
 from aqnn.seeding import derive_seed
 from aqnn.sprint import parse_algorithm
@@ -351,6 +353,30 @@ class TestCoverage:
         assert result.s <= 2
         assert result.coverage < 0.95
 
+    def test_sum_sized_by_the_mean(self):
+        # SUM's bound takes |AVG| of the true neighbourhood; sized by |SUM|
+        # instead, s_min is 30,482,379 here and every trial samples all of D
+        ds = generate_synthetic(
+            SyntheticGenConfig(n_objects=5000, proxy_noise_sigma=0.3, seed=1))
+        query = QuerySpec(q_id=3, r=5.0, agg="SUM")
+        gt = ground_truth(ds, query, ["AVG"])
+        inp = BoundsInput(alpha=0.05, rho=gt.density, a=ds.attr_bounds[0], b=ds.attr_bounds[1],
+                          omega_s=20000.0, omega_nn=20000.0, omega_c=0.0001,
+                          population_size_D=len(ds), avg_s_abs=abs(gt.agg_values["AVG"]),
+                          on_d_size=len(gt.on_d))
+        result = coverage_check(ds, query, alpha=0.05, omega_s=20000.0, omega_nn=20000.0,
+                                trials=2, seed=0)
+        assert result.s == min(reconcile_sizes(min_sizes("SUM", inp)).s_min, len(ds)) == 3450
+
+
+    @pytest.mark.parametrize("agg", ["AVG", "VAR", "PCT", "COUNT", "SUM"])
+    def test_empty_true_neighbourhood_is_degenerate(self, small_ds, agg):
+        # a target far from every object has no true neighbour, so every
+        # aggregation fails loudly instead of sizing and running its trials
+        query = QuerySpec(q_id=np.full(8, 100.0), r=1.0, agg=agg)
+        with pytest.raises(DegenerateNeighborhoodError, match="ground-truth neighborhood is empty"):
+            coverage_check(small_ds, query, alpha=0.05, omega_s=0.5, omega_nn=0.5, trials=3)
+
 
 class TestBoundsProvenance:
     """``coverage_check`` warns exactly when the attribute bounds come from the data."""
@@ -442,6 +468,34 @@ class TestHtProtocol:
         noted = [c for c in out["cells"] if c["note"] == "3 of 10 trials degenerate"]
         assert [c["query_id"] for c in noted] == [800, 800]
         assert all(round(c["accuracy"] * 7, 9).is_integer() for c in noted)
+
+    def test_zero_truth_query_skipped(self, small_ds, monkeypatch):
+        # every attribute is 0, so the AVG truth is 0 and no factor of it
+        # makes a hypothesis; the query is skipped before any selection
+        import aqnn.harness
+
+        calls = []
+        monkeypatch.setattr(aqnn.harness, "select_neighbors", lambda *a: calls.append(a))
+        ds = Dataset(np.zeros(len(small_ds)), small_ds.features, small_ds.oracle_emb,
+                     small_ds.proxy_emb, (-1.0, 1.0))
+        out = run_ht_protocol(ds, query_ids=[3], r=5.0, agg="AVG",
+                              sprint_cfg=SprintConfig(s=250, s_p=80, seed=0),
+                              factors=[0.5, 1.5], k_samples=5)
+        assert (out["skipped_queries"], out["cells"], out["mean_accuracy"]) == (1, [], None)
+        assert calls == []
+
+    def test_invalid_truth_hypothesis_noted(self):
+        # 4 of 5000 objects are true neighbours, so at factor 0.5 the truth's
+        # z-test has n*c = 5000 * 0.5 * 4/5000 = 2 < 5: the cell has no
+        # accuracy and its note says why
+        ds = generate_synthetic(SyntheticGenConfig(n_objects=5000, proxy_noise_sigma=0.2, seed=7))
+        out = run_ht_protocol(ds, query_ids=[16], r=2.5, agg="PCT",
+                              sprint_cfg=SprintConfig(s=4000, s_p=3000, seed=0),
+                              factors=[0.5], k_samples=5)
+        note = "normal approximation invalid: n*c = 2 < 5"
+        assert [(c["op"], c["accuracy"], c["note"]) for c in out["cells"]] == [
+            ("ge", None, note), ("le", None, note)]
+        assert (out["accuracy_by_factor"], out["mean_accuracy"]) == ({0.5: None}, None)
 
     def test_single_member_trial_leaves_the_rest_scored(self):
         # At r = 4.5 most trials select only the target, whose t-test is

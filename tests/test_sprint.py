@@ -21,6 +21,7 @@ from aqnn import (
     ternary_search_max,
     two_phase,
 )
+from aqnn.frnn import CalibrationTable
 from aqnn.harness import ground_truth
 from aqnn.seeding import spawn_rng
 from aqnn.sprint import SelectionContext, resolve_query_object
@@ -39,14 +40,12 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
         sample_ids if sample_ids is not None else sorted(proxy_dist), dtype=np.int64
     )
     truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), "exact_frnn", r)
+    pilot_d = np.array([proxy_dist[i] for i in pilot_ids.tolist()], dtype=np.float64)
     return SelectionContext(
         sample_ids=sample_ids,
         sample_d=np.array([proxy_dist[i] for i in sample_ids.tolist()], dtype=np.float64),
         pilot_ids=pilot_ids,
-        pilot_d=np.array([proxy_dist[i] for i in pilot_ids.tolist()], dtype=np.float64),
-        pilot_truth=truth,
-        r=float(r),
-        delta=delta,
+        table=CalibrationTable.build(pilot_ids, pilot_d, truth, delta, float(r)),
         ledger=CallLedger(),
     )
 
@@ -186,11 +185,11 @@ class TestSprintC:
         grid = np.arange(0.0, 1.0, 0.001)
         grid_gaps = []
         for t in grid:
-            p, r, _ = ctx.pilot_prf1(float(t))
+            p, r, _ = ctx.table.labeled_prf1(float(t))
             grid_gaps.append(abs(p - r))
         expected_min = min(grid_gaps)
         out = sprint_c(ctx, omega_c=1e-9, max_iters=40)
-        p, r, _ = ctx.pilot_prf1(out.t_star)
+        p, r, _ = ctx.table.labeled_prf1(out.t_star)
         assert abs(p - r) == pytest.approx(expected_min, abs=1e-12)
 
     def test_probe_stays_strictly_inside_interval(self, clean_ds):
