@@ -12,9 +12,6 @@ from .bounds import (
     BoundsInput,
     BoundsOutput,
     min_sizes,
-    min_sizes_count,
-    min_sizes_sum,
-    min_sizes_value,
     reconcile_sizes,
 )
 from .dataset import (
@@ -80,9 +77,6 @@ __all__ = [
     "ht_accuracy",
     "load_dataset",
     "min_sizes",
-    "min_sizes_count",
-    "min_sizes_sum",
-    "min_sizes_value",
     "oracle_model",
     "pqe_pt",
     "prf1",

@@ -1,11 +1,14 @@
 """Closed-form minimum sample and pilot sizes for target error tolerances.
 
-Each calculator answers: how large must the sample s and the oracle-labeled
-pilot s_p be so the estimate lands within omega_s + omega_nn of the truth
-with probability at least 1 - alpha. The calculators are pure arithmetic
-over :class:`BoundsInput`; estimating inputs such as the neighborhood
-density from data is the caller's job. Sizes are ceilings of the raw
-bounds, with exact integers kept as-is.
+``min_sizes`` is the one entry point. It answers: how large must the
+sample s and the oracle-labeled pilot s_p be so the estimate lands within
+omega_s + omega_nn of the truth with probability at least 1 - alpha. It
+picks one private calculator from the aggregation's sensitivity in
+``aggregate.SENSITIVITY`` and turns arithmetic that leaves the float range
+into a ``ValueError`` naming the inputs. The calculators are pure
+arithmetic over :class:`BoundsInput`; estimating inputs such as the
+neighborhood density from data is the caller's job. Sizes are ceilings of
+the raw bounds, with exact integers kept as-is.
 
 Value-sensitive aggregates (AVG, VAR) control selection error through the
 pilot-vs-sample F1 gap tolerance ``lambda_``; count-sensitive ones (PCT,
@@ -13,8 +16,6 @@ COUNT) through the precision-recall balance tolerance ``omega_c``. SUM
 takes the max of a count-driven and a mean-driven requirement on both
 sizes. The selection-error tolerance a given ``lambda_`` implies is
 reported back as ``omega_nn_implied`` for value-sensitive aggregates.
-``min_sizes`` picks the calculator from the aggregation's sensitivity in
-``aggregate.SENSITIVITY``.
 """
 
 from __future__ import annotations
@@ -78,15 +79,13 @@ class BoundsOutput:
 def _require_span(inp: BoundsInput) -> float:
     if not inp.a < inp.b:
         raise ValueError("attribute bounds must satisfy a < b")
-    if inp.bounds_data_derived:
-        warnings.warn(_DATA_BOUNDS_WARNING, stacklevel=3)
+    if inp.bounds_data_derived:  # name min_sizes' caller, past the calculator
+        warnings.warn(_DATA_BOUNDS_WARNING, stacklevel=4)
     return inp.b - inp.a
 
 
-def min_sizes_value(agg: str, inp: BoundsInput) -> BoundsOutput:
+def _value_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes for value-sensitive aggregates (AVG, VAR)."""
-    if SENSITIVITY.get(agg) != "value":
-        raise ValueError(f"value-sensitive calculator got {agg!r}")
     span = _require_span(inp)
     ln2a = math.log(2.0 / inp.alpha)
 
@@ -126,10 +125,8 @@ def min_sizes_value(agg: str, inp: BoundsInput) -> BoundsOutput:
     )
 
 
-def min_sizes_count(agg: str, inp: BoundsInput) -> BoundsOutput:
+def _count_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes for count-sensitive aggregates (PCT, COUNT)."""
-    if SENSITIVITY.get(agg) != "count":
-        raise ValueError(f"count-sensitive calculator got {agg!r}")
     ln2a = math.log(2.0 / inp.alpha)
 
     if agg == "PCT":
@@ -151,7 +148,7 @@ def min_sizes_count(agg: str, inp: BoundsInput) -> BoundsOutput:
     )
 
 
-def min_sizes_sum(inp: BoundsInput) -> BoundsOutput:
+def _sum_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes for SUM: the max of count-driven and mean-driven terms.
 
     The count-side selection tolerance rescales omega_nn by s / (2 |D|
@@ -197,6 +194,9 @@ def min_sizes_sum(inp: BoundsInput) -> BoundsOutput:
     )
 
 
+_SIZES_BY_SENSITIVITY = {"value": _value_sizes, "count": _count_sizes, "both": _sum_sizes}
+
+
 def min_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     """Minimum sizes from the calculator matching the aggregation's sensitivity.
 
@@ -207,12 +207,7 @@ def min_sizes(agg: str, inp: BoundsInput) -> BoundsOutput:
     if agg not in SENSITIVITY:
         raise ValueError(f"unknown aggregation {agg!r}")
     try:
-        if SENSITIVITY[agg] == "value":
-            out = min_sizes_value(agg, inp)
-        elif SENSITIVITY[agg] == "count":
-            out = min_sizes_count(agg, inp)
-        else:
-            out = min_sizes_sum(inp)
+        out = _SIZES_BY_SENSITIVITY[SENSITIVITY[agg]](agg, inp)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range(agg, inp) from exc
     if not all(map(math.isfinite, [*out.details.values(), out.omega_nn_implied or 0.0])):

@@ -16,6 +16,7 @@ import inspect
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .aggregate import AGGREGATIONS, AggregationContext, aggregate
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
@@ -163,7 +164,7 @@ def _cmd_query(args) -> int:
         "selected": len(members),
         "t_star": res.t_star,
         "threshold": res.neighbors.threshold_used,
-        "method": res.neighbors.method,
+        "method": res.algorithm,
         "oracle_calls": res.ledger.oracle_calls,
         "proxy_calls": res.ledger.proxy_calls,
         "seed": seed,
@@ -171,8 +172,7 @@ def _cmd_query(args) -> int:
     if args.truth:
         # the search found a true neighbor in the pilot, so ON_D is never empty here
         gt = ground_truth(ds, query, [query.agg])
-        cell = evaluate_cell(res.neighbors.method, q_id, 0, res, ds, [query.agg], gt,
-                             gt.within(res.sample_ids))
+        cell = evaluate_cell(q_id, 0, res, ds, [query.agg], gt, gt.within(res.sample_ids))
         payload.update(
             truth=gt.agg_values[query.agg],
             re_pct=cell.re_pct[query.agg],
@@ -193,16 +193,8 @@ def _cmd_bounds(args) -> int:
     if args.reconcile:
         out = reconcile_sizes(out)
 
-    payload = {
-        "agg": args.agg,
-        "s_min": out.s_min,
-        "s_p_min": out.s_p_min,
-        "omega_nn_implied": out.omega_nn_implied,
-        "reconciled": out.reconciled,
-        "details": out.details,
-    }
     if args.json:
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(canonical_json({"agg": args.agg, **asdict(out)}))
     else:
         print(f"s_min = {out.s_min}")
         print(f"s_p_min = {out.s_p_min}")

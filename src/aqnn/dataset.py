@@ -49,10 +49,9 @@ _WITHIN_CLUSTER_SCALE = 1.0
 
 @dataclass(frozen=True)
 class DataObject:
-    """One query target: id (-1 for an external vector), attribute, both embeddings."""
+    """One query target: id (-1 for an external vector) and both embeddings."""
 
     id: int
-    attr_value: float
     oracle_embedding: np.ndarray
     proxy_embedding: np.ndarray
 

@@ -67,10 +67,9 @@ def distances_from(
 
 @dataclass(frozen=True, eq=False)
 class NeighborSet:
-    """A selected id-set tagged with the method that produced it."""
+    """A selected id-set and the distance cutoff that chose it, if any."""
 
     member_ids: np.ndarray  # sorted int64 array of distinct ids
-    method: str
     threshold_used: float | None = None
 
     def __len__(self) -> int:
@@ -102,7 +101,7 @@ def exact_frnn(
         raise
     if np.isnan(d).any():  # a NaN coordinate makes its row's distance NaN
         _reject_nan(emb)
-    return NeighborSet(sorted_distinct(ids[d <= r]), "exact_frnn", float(r))
+    return NeighborSet(sorted_distinct(ids[d <= r]), float(r))
 
 
 def _reject_nan(emb: np.ndarray) -> None:
@@ -207,14 +206,12 @@ class CalibrationTable:
             raise ValueError("precision target t must lie in [0, 1]")
         return bisect_left(self.lower, t)
 
-    def select(
-        self, ids: np.ndarray, d: np.ndarray, t: float, method: str = "pqe_pt"
-    ) -> NeighborSet:
+    def select(self, ids: np.ndarray, d: np.ndarray, t: float) -> NeighborSet:
         """The ids whose proxy distance ``d`` is within the cutoff picked at t."""
         i = self._pick(t)
         if i == len(self.lower):
-            return NeighborSet(self.fallback, method=method, threshold_used=None)
-        return NeighborSet(ids[d <= self.tau[i]], method=method, threshold_used=self.tau[i])
+            return NeighborSet(self.fallback)
+        return NeighborSet(ids[d <= self.tau[i]], self.tau[i])
 
     def labeled_prf1(self, t: float) -> tuple[float, float, float]:
         """``prf1`` of the labeled ids the pick at t admits, from its counts."""
@@ -258,28 +255,16 @@ def top_k_baseline(ids: np.ndarray, dists: np.ndarray, k: int) -> NeighborSet:
     if k > ids.size:
         raise ValueError(f"k={k} exceeds universe size {ids.size}")
     chosen = np.lexsort((ids, dists))[:k]
-    return NeighborSet(
-        member_ids=np.sort(ids[chosen]),
-        method="top_k",
-        threshold_used=float(dists[chosen[-1]]),
-    )
+    return NeighborSet(np.sort(ids[chosen]), float(dists[chosen[-1]]))
 
 
-def _id_array(ids) -> np.ndarray:
-    """A NeighborSet's members, or any iterable of ids, as a sorted id array."""
-    if isinstance(ids, NeighborSet):
-        return ids.member_ids
-    return np.unique(np.fromiter(ids, dtype=np.int64))
-
-
-def prf1(selected, truth) -> tuple[float, float, float]:
+def prf1(selected: NeighborSet, truth: NeighborSet) -> tuple[float, float, float]:
     """Precision, recall, F1 of a selection against a truth set.
 
-    Either argument is a NeighborSet or an iterable of ids. Conventions: an
-    empty selection has precision 1 (no false positives), an empty truth
-    has recall 1, and F1 is 0 when P + R = 0.
+    Conventions: an empty selection has precision 1 (no false positives),
+    an empty truth has recall 1, and F1 is 0 when P + R = 0.
     """
-    sel, tru = _id_array(selected), _id_array(truth)
+    sel, tru = selected.member_ids, truth.member_ids
     overlap = np.intersect1d(sel, tru, assume_unique=True).size
     return _prf1_of_counts(overlap, sel.size, tru.size)
 

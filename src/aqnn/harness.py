@@ -228,7 +228,6 @@ def _estimates(
 
 
 def evaluate_cell(
-    algorithm: str,
     query_id: int,
     trial: int,
     res: SelectionResult,
@@ -242,7 +241,7 @@ def evaluate_cell(
     and F1 and |P - R| against ``on_s``, the truth within the sample; brute
     force chooses in all of D, so it is scored at s = |D| on all of D."""
     chosen = res.neighbors
-    if algorithm == "brute_force":
+    if res.algorithm == "brute_force":
         s, truth_for_f1 = len(ds), gt.on_d
     else:
         s, truth_for_f1 = res.sample_ids.size, on_s
@@ -255,14 +254,14 @@ def evaluate_cell(
         re_pct[agg] = relative_error(est, truth_val) if usable else None
     degenerate = None in re_pct.values()
     # top_k keeps K = |ON_S| points, so its set is empty only when K = 0
-    if algorithm == "top_k" and not chosen:
+    if res.algorithm == "top_k" and not chosen:
         note = "K=0"
     else:
         note = "degenerate aggregate" if degenerate else ""
 
     p, r, f1 = prf1(chosen, truth_for_f1)
     return CellResult(
-        algorithm=algorithm,
+        algorithm=res.algorithm,
         query_id=query_id,
         trial=trial,
         estimates=estimates,
@@ -302,7 +301,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                 oracle_calls=ledger.oracle_calls, proxy_calls=ledger.proxy_calls, note=str(exc),
             )
         else:
-            cell = evaluate_cell(spec, query_id, trial, res, ds, cfg.aggs, gt, on_s)
+            cell = evaluate_cell(query_id, trial, res, ds, cfg.aggs, gt, on_s)
         cell.wall_time_s = time.perf_counter() - start
         results.append(cell)
     return results

@@ -22,7 +22,7 @@ objects plus one call of each model for the query target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -165,10 +165,12 @@ def ternary_search_max(
 class SelectionResult:
     """A selection's outputs plus the context needed for aggregation.
 
+    ``algorithm`` is the spec ``select`` ran, exactly as it was given.
     ``t_star`` is None, and ``probes`` is 0, for the baselines that search
     no precision target (top_k, brute_force).
     """
 
+    algorithm: str
     neighbors: NeighborSet
     sample_ids: np.ndarray
     pilot_ids: np.ndarray
@@ -240,10 +242,11 @@ class SelectionContext:
         table = CalibrationTable.build(pilot_ids, pilot_d, pilot_truth, delta, r)
         return cls(sample_ids, sample_d, pilot_ids, table, ledger)
 
-    def result(self, t_star: float, method: str, probes: int = 0) -> SelectionResult:
+    def result(self, t_star: float, algorithm: str, probes: int = 0) -> SelectionResult:
         """Select on the sample at target t_star and record how it was found."""
         return SelectionResult(
-            neighbors=self.table.select(self.sample_ids, self.sample_d, t_star, method),
+            algorithm=algorithm,
+            neighbors=self.table.select(self.sample_ids, self.sample_d, t_star),
             sample_ids=self.sample_ids,
             pilot_ids=self.pilot_ids,
             t_star=t_star,
@@ -343,7 +346,7 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     """
     if _is_object_id(q_id):
         i = as_query_id(q_id, len(ds))
-        return DataObject(i, float(ds.attrs[i]), ds.oracle_emb[i], ds.proxy_emb[i])
+        return DataObject(i, ds.oracle_emb[i], ds.proxy_emb[i])
     try:
         vec = np.asarray(q_id, dtype=np.float64)
     except (TypeError, ValueError):
@@ -352,7 +355,7 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
         what = repr(q_id) if vec is None or vec.ndim == 0 else f"vector of shape {vec.shape}"
         raise ValueError(f"query target {what} is neither an object id nor a finite "
                          f"vector of {ds.embedding_dim} floats")
-    return DataObject(id=-1, attr_value=math.nan, oracle_embedding=vec, proxy_embedding=vec)
+    return DataObject(id=-1, oracle_embedding=vec, proxy_embedding=vec)
 
 
 def select(
@@ -372,8 +375,7 @@ def select(
 
     if algorithm == "brute_force":
         on_d = oracle_scan(ds, q_obj, ds.ids, query.r, query.metric, ledger)
-        chosen = replace(on_d, method="brute_force")
-        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
+        return SelectionResult(spec, on_d, sample_ids, pilot_ids, None, 0, ledger)
     if algorithm == "top_k":
         # Oracle labels over the whole sample set the budget K = |ON_S|.
         k = len(oracle_scan(ds, q_obj, sample_ids, query.r, query.metric, ledger))
@@ -382,8 +384,8 @@ def select(
             chosen = top_k_baseline(sample_ids, dists, k)
         else:  # nothing to rank; only the target's proxy call is spent
             _PROXY.embed(q_obj, ledger)
-            chosen = NeighborSet(np.empty(0, dtype=np.int64), "top_k")
-        return SelectionResult(chosen, sample_ids, pilot_ids, None, 0, ledger)
+            chosen = NeighborSet(np.empty(0, dtype=np.int64))
+        return SelectionResult(spec, chosen, sample_ids, pilot_ids, None, 0, ledger)
 
     ctx = SelectionContext.build(
         ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, ledger, delta=cfg.alpha,
@@ -391,7 +393,7 @@ def select(
     # The searches are looked up as module globals at call time, so a tracer
     # that rebinds them (bench/spans.py) sees every call.
     if algorithm == "pqe_pt_fixed":
-        return ctx.result(target, f"pqe_pt_fixed:{target:g}")
+        return ctx.result(target, spec)
     if algorithm == "sprint_v":
         return sprint_v(ctx, cfg.omega_v)
     if algorithm == "sprint_c":

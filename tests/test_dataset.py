@@ -374,5 +374,4 @@ class TestDatasetInvariants:
     def test_object_view(self, tiny_ds):
         obj = resolve_query_object(tiny_ds, 5)
         assert obj.id == 5
-        assert obj.attr_value == 80.0
         assert np.array_equal(obj.oracle_embedding, [3.0, 4.0])

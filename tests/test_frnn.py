@@ -189,7 +189,7 @@ def run_pqe_pt(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):
     sample, labeled = ids_of(sample_ids), ids_of(labeled_ids)
     sample_d = np.array([proxy_dists[i] for i in sample.tolist()], dtype=np.float64)
     labeled_d = np.array([proxy_dists[i] for i in labeled.tolist()], dtype=np.float64)
-    truth = NeighborSet(ids_of(truth_ids), "exact_frnn", r)
+    truth = NeighborSet(ids_of(truth_ids), r)
     return pqe_pt(sample, sample_d, labeled, labeled_d, truth, t, delta, r)
 
 
@@ -362,12 +362,12 @@ def pqe_pt_per_probe(sample_ids, sample_d, labeled_ids, labeled_d, oracle_truth,
 
     if not ok.any():
         nearest_true = lab_ids[lab_true][:1]
-        return NeighborSet(nearest_true, method="pqe_pt", threshold_used=None)
+        return NeighborSet(nearest_true, threshold_used=None)
 
     k_true, p_hat, taus = k_true[ok], p_hat[ok], taus[ok]
     best_tau = float(taus[np.lexsort((taus, p_hat, k_true))[-1]])
     members = sample_ids[sample_d <= best_tau]
-    return NeighborSet(members, method="pqe_pt", threshold_used=best_tau)
+    return NeighborSet(members, threshold_used=best_tau)
 
 
 class TestCalibrationTable:
@@ -403,7 +403,7 @@ class TestCalibrationTable:
         sample, pilot = ids_of(ids), ids_of(pilot)
         sample_d = np.array([dist[i] for i in sample.tolist()])
         pilot_d = np.array([dist[i] for i in pilot.tolist()])
-        truth = NeighborSet(ids_of(truth), "exact_frnn", r)
+        truth = NeighborSet(ids_of(truth), r)
         table = CalibrationTable.build(pilot, pilot_d, truth, delta, r)
 
         bounds = table.lower
@@ -413,7 +413,7 @@ class TestCalibrationTable:
         for t in targets:
             cfg = SimpleNamespace(t=t, delta=delta)
             want = pqe_pt_per_probe(sample, sample_d, pilot, pilot_d, truth, cfg, r)
-            got = table.select(sample, sample_d, t, "pqe_pt_fixed")
+            got = table.select(sample, sample_d, t)
             assert np.array_equal(got.member_ids, want.member_ids)
             assert got.threshold_used == want.threshold_used
             on_pilot = pqe_pt_per_probe(pilot, pilot_d, pilot, pilot_d, truth, cfg, r)
@@ -421,13 +421,13 @@ class TestCalibrationTable:
 
     def test_bad_target_fails_on_every_probe(self):
         table = CalibrationTable.build(
-            ids_of([0]), np.array([1.0]), NeighborSet(ids_of([0]), "exact_frnn", 1.5), 0.05, 1.5)
+            ids_of([0]), np.array([1.0]), NeighborSet(ids_of([0]), 1.5), 0.05, 1.5)
         table.labeled_prf1(0.5)
         for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError, match="precision target"):
                 table.labeled_prf1(bad)
             with pytest.raises(ValueError, match="precision target"):
-                table.select(ids_of([0, 1]), np.array([1.0, 2.0]), bad, "pqe_pt_fixed")
+                table.select(ids_of([0, 1]), np.array([1.0, 2.0]), bad)
 
 
 def top_k_of(dists, k):
@@ -462,23 +462,27 @@ class TestTopK:
         assert np.array_equal(top_k_baseline(clean_ds.ids, d, k).member_ids, on.member_ids)
 
 
+def prf1_of(selected, truth):
+    return prf1(NeighborSet(ids_of(selected)), NeighborSet(ids_of(truth)))
+
+
 class TestPrf1:
     def test_perfect(self):
-        assert prf1({1, 2, 3}, {1, 2, 3}) == (1.0, 1.0, 1.0)
+        assert prf1_of({1, 2, 3}, {1, 2, 3}) == (1.0, 1.0, 1.0)
 
     def test_disjoint(self):
-        assert prf1({1, 2}, {3, 4}) == (0.0, 0.0, 0.0)
+        assert prf1_of({1, 2}, {3, 4}) == (0.0, 0.0, 0.0)
 
     def test_partial_overlap(self):
-        p, r, f1 = prf1({1, 2, 3, 4}, {1, 2, 3, 5, 6, 7})
+        p, r, f1 = prf1_of({1, 2, 3, 4}, {1, 2, 3, 5, 6, 7})
         assert (p, r, f1) == (0.75, 0.5, pytest.approx(0.6))
 
     def test_empty_selection_precision_one(self):
-        p, r, f1 = prf1(set(), {1, 2})
+        p, r, f1 = prf1_of(set(), {1, 2})
         assert p == 1.0 and r == 0.0 and f1 == 0.0
 
     def test_empty_truth_recall_one(self):
-        p, r, f1 = prf1({1}, set())
+        p, r, f1 = prf1_of({1}, set())
         assert p == 0.0 and r == 1.0 and f1 == 0.0
 
     @given(
@@ -486,6 +490,6 @@ class TestPrf1:
         tru=st.frozensets(st.integers(0, 30), max_size=20),
     )
     def test_f1_between_min_and_max(self, sel, tru):
-        p, r, f1 = prf1(sel, tru)
+        p, r, f1 = prf1_of(sel, tru)
         if p + r > 0:
             assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12

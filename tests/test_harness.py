@@ -143,6 +143,12 @@ class TestRunExperiment:
         parallel = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=2)
         assert serial.to_json() == parallel.to_json()
 
+    def test_cells_name_the_spec_as_given(self, small_noisy_ds):
+        specs = ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.90", "top_k",
+                 "brute_force"]
+        report = run_experiment(small_config(small_noisy_ds, algorithms=specs, trials=1))
+        assert [c.algorithm for c in report.cells] == specs * 2
+
     def test_algorithms_share_trial_samples(self, small_noisy_ds):
         # paired trials: oracle+proxy call counts line up per (query, trial)
         report = run_experiment(

@@ -80,8 +80,9 @@ def ref_balance(prf1_at, omega_c, max_iters):
     return best[1], probes
 
 
-def reference(spec, target, query, cfg, ds, sample, pilot):
-    """(member ids, t_star, probes, threshold_used, ledger counts) of one selection."""
+def reference(spec, query, cfg, ds, sample, pilot):
+    """(member ids, t_star, probes, threshold_used, ledger counts, spec) of one selection."""
+    name, _, target = spec.partition(":")
     ledger = SetLedger()
     q_id = query.q_id if isinstance(query.q_id, int) else -1
     q_oracle = ds.oracle_emb[q_id] if q_id >= 0 else np.asarray(query.q_id, dtype=np.float64)
@@ -97,12 +98,12 @@ def reference(spec, target, query, cfg, ds, sample, pilot):
 
     def done(members, t_star, probes, threshold):
         return (np.asarray(members, dtype=np.int64).tolist(), t_star, probes, threshold,
-                (ledger.oracle_calls, ledger.proxy_calls))
+                (ledger.oracle_calls, ledger.proxy_calls), spec)
 
-    if spec == "brute_force":
+    if name == "brute_force":
         members = oracle_truth(ds.ids)
         return done(members, None, 0, query.r)
-    if spec == "top_k":
+    if name == "top_k":
         k = oracle_truth(sample).size
         if not k:
             ledger.charge("proxy", [q_id])
@@ -126,13 +127,13 @@ def reference(spec, target, query, cfg, ds, sample, pilot):
     def f1_at(t):
         return prf1_at(t)[2]
 
-    if spec == "pqe_pt_fixed":
-        t_star, probes = target, 0
+    if name == "pqe_pt_fixed":
+        t_star, probes = float(target), 0
     elif not true_set:
         raise DegenerateNeighborhoodError(_NO_PILOT_TRUE)
-    elif spec == "sprint_v":
+    elif name == "sprint_v":
         t_star, probes = ref_ternary(f1_at, cfg.omega_v)
-    elif spec == "sprint_c":
+    elif name == "sprint_c":
         t_star, probes = ref_balance(prf1_at, cfg.omega_c, cfg.max_iters)
     else:
         t_c, probes = ref_balance(prf1_at, cfg.omega_c, cfg.max_iters)
@@ -176,7 +177,8 @@ def outcome(run):
 
 def of_result(res):
     return (res.neighbors.member_ids.tolist(), res.t_star, res.probes,
-            res.neighbors.threshold_used, (res.ledger.oracle_calls, res.ledger.proxy_calls))
+            res.neighbors.threshold_used, (res.ledger.oracle_calls, res.ledger.proxy_calls),
+            res.algorithm)
 
 
 @st.composite
@@ -233,7 +235,7 @@ def test_select_matches_reference(data, ds):
     for spec in ("sprint_v", "sprint_c", "two_phase", f"pqe_pt_fixed:{target}", "top_k",
                  "brute_force"):
         name = spec.partition(":")[0]
-        want = outcome(lambda: reference(name, target, query, cfg, ds, sample, pilot))
+        want = outcome(lambda: reference(spec, query, cfg, ds, sample, pilot))
         got = outcome(lambda: of_result(
             select(spec, query, cfg, ds, sample, pilot, CallLedger())))
         assert got == want, spec
@@ -243,7 +245,7 @@ def test_select_matches_reference(data, ds):
                 a: ref_estimate(a, ds.attrs[np.array(want[0], dtype=np.int64)], size, n)
                 for a in AGGREGATIONS}
 
-    want = outcome(lambda: reference(_ROUTE[agg], None, query, cfg, ds, sample, pilot))
+    want = outcome(lambda: reference(_ROUTE[agg], query, cfg, ds, sample, pilot))
     got = outcome(lambda: of_result(
         select_neighbors(query, cfg, ds, oracle_model(), proxy_model())))
     assert got == want

@@ -115,6 +115,14 @@ def test_target_only_where_the_algorithm_takes_one(noisy_ds, drawn, spec):
     assert ledger.as_dict() == {"oracle_calls": 0, "proxy_calls": 0}
 
 
+@pytest.mark.parametrize("spec", ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.90",
+                                  "top_k", "brute_force"])
+def test_result_names_the_spec_as_given(noisy_ds, drawn, spec):
+    res = select(spec, QuerySpec(q_id=int(drawn[1][0]), r=6.0, agg="AVG"),
+                 SprintConfig(s=S, s_p=S_P), noisy_ds, *drawn, CallLedger())
+    assert res.algorithm == spec
+
+
 # sha256 of canonical outputs recorded before the selection dispatch was
 # unified; the refactor must leave every byte of them unchanged. The radius
 # sweep is hashed with mean_wall_time_s removed, as it is now kept out of

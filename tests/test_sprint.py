@@ -39,7 +39,7 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
     sample_ids = np.asarray(
         sample_ids if sample_ids is not None else sorted(proxy_dist), dtype=np.int64
     )
-    truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), "exact_frnn", r)
+    truth = NeighborSet(np.array(sorted(truth_ids), dtype=np.int64), r)
     pilot_d = np.array([proxy_dist[i] for i in pilot_ids.tolist()], dtype=np.float64)
     return SelectionContext(
         sample_ids=sample_ids,
@@ -146,7 +146,7 @@ class TestSprintV:
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[17], 6.0)
         assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert prf1(out.neighbors, truth)[2] == 1.0
-        assert out.neighbors.method == "sprint_v"
+        assert out.algorithm == "sprint_v"
 
     def test_iteration_count(self, clean_ds):
         ctx, _, _ = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2)
@@ -168,7 +168,7 @@ class TestSprintC:
         assert out.t_star == 0.5
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[8], 6.0)
         assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
-        assert out.neighbors.method == "sprint_c"
+        assert out.algorithm == "sprint_c"
 
     def test_iteration_cap_respected(self, clean_ds):
         ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 5)
@@ -206,7 +206,7 @@ class TestTwoPhase:
         sc = sprint_c(ctx, 0.01)
         assert np.array_equal(tp.neighbors.member_ids, sv.neighbors.member_ids)
         assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
-        assert tp.neighbors.method == "two_phase"
+        assert tp.algorithm == "two_phase"
 
     def test_refined_target_within_window(self, clean_ds):
         ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 8)
@@ -233,7 +233,7 @@ class TestSelectNeighbors:
         oracle, proxy = models
         cfg = SprintConfig(s=300, s_p=100, seed=5)
         res = select_neighbors(QuerySpec(q_id=2, r=6.0, agg=agg), cfg, clean_ds, oracle, proxy)
-        assert res.neighbors.method == label
+        assert res.algorithm == label
 
     def test_ledger_accounting_external_query(self, clean_ds, models):
         # external query vector: no memo overlap with sample objects, so the
