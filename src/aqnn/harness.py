@@ -27,7 +27,7 @@ from .aggregate import AggregationContext, aggregate, relative_error
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError
-from .frnn import NeighborSet, prf1
+from .frnn import NeighborSet, in_sorted, prf1
 from .models import CallLedger, oracle_model, proxy_model, speedup
 from .seeding import derive_seed
 from .sprint import (
@@ -117,9 +117,11 @@ class GroundTruth:
     oracle_calls: int
 
     def within(self, sample_ids: np.ndarray) -> NeighborSet:
-        """The true neighborhood restricted to a sample; charged to no ledger."""
-        members = np.intersect1d(self.on_d.member_ids, sample_ids, assume_unique=True)
-        return replace(self.on_d, member_ids=members)
+        """The true neighborhood restricted to a sorted, distinct sample;
+        charged to no ledger. Each sample id is looked up in ON_D, so no
+        temporary is as large as ON_D."""
+        inside = in_sorted(sample_ids, self.on_d.member_ids)
+        return replace(self.on_d, member_ids=sample_ids[inside])
 
 
 @dataclass

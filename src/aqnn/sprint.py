@@ -35,7 +35,6 @@ from .frnn import (
     NeighborSet,
     distances_from,
     exact_frnn,
-    in_sorted,
     top_k_baseline,
 )
 from .models import CallLedger, EmbeddingModel, embed_many, oracle_model, proxy_model
@@ -125,7 +124,7 @@ def draw_sample(ds: Dataset, s: int, seed: int) -> np.ndarray:
     if s > len(ds):
         raise ValueError(f"sample size {s} exceeds population {len(ds)}")
     rng = spawn_rng(seed, "sample")
-    return np.sort(rng.choice(len(ds), size=s, replace=False)).astype(np.int64)
+    return np.sort(rng.choice(len(ds), size=s, replace=False)).astype(np.int64, copy=False)
 
 
 def draw_pilot(sample_ids: np.ndarray, s_p: int, seed: int) -> np.ndarray:
@@ -135,7 +134,7 @@ def draw_pilot(sample_ids: np.ndarray, s_p: int, seed: int) -> np.ndarray:
     if s_p > sample_ids.size:
         raise ValueError(f"pilot size {s_p} exceeds sample size {sample_ids.size}")
     rng = spawn_rng(seed, "pilot")
-    return np.sort(rng.choice(sample_ids, size=s_p, replace=False)).astype(np.int64)
+    return np.sort(rng.choice(sample_ids, size=s_p, replace=False)).astype(np.int64, copy=False)
 
 
 def ternary_search_max(
@@ -184,10 +183,14 @@ def oracle_scan(
 ) -> NeighborSet:
     """Exact oracle neighborhood of the query among ``ids``.
 
-    Charges the ledger one oracle call per id plus one for the query.
+    Charges the ledger one oracle call per id plus one for the query. A
+    scan of all of D reads the stored matrix, which comes with its stored
+    squared norms; a gather of rows has none.
     """
     q_emb = _ORACLE.embed(query, ledger)
-    return exact_frnn(ids, embed_many(_ORACLE, ds, ids, ledger), q_emb, r, metric)
+    rows = embed_many(_ORACLE, ds, ids, ledger)
+    sq_norms = ds.oracle_sq_norms if rows is ds.oracle_emb else None
+    return exact_frnn(ids, rows, q_emb, r, metric, sq_norms)
 
 
 def _proxy_distances(
@@ -234,12 +237,12 @@ class SelectionContext:
     ) -> "SelectionContext":
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         pilot_ids = np.asarray(pilot_ids, dtype=np.int64)
-        if not in_sorted(pilot_ids, sample_ids).all():
+        at = np.searchsorted(sample_ids, pilot_ids)
+        if (at == sample_ids.size).any() or (sample_ids[at] != pilot_ids).any():
             raise ValueError("pilot ids must lie in the sorted sample ids")
         sample_d = _proxy_distances(ds, query, sample_ids, metric, ledger)
-        pilot_d = sample_d[np.searchsorted(sample_ids, pilot_ids)]
         pilot_truth = oracle_scan(ds, query, pilot_ids, r, metric, ledger)
-        table = CalibrationTable.build(pilot_ids, pilot_d, pilot_truth, delta, r)
+        table = CalibrationTable.build(pilot_ids, sample_d[at], pilot_truth, delta, r)
         return cls(sample_ids, sample_d, pilot_ids, table, ledger)
 
     def result(self, t_star: float, algorithm: str, probes: int = 0) -> SelectionResult:

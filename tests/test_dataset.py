@@ -371,6 +371,19 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             clean_ds.attrs[0] = 1.0
 
+    def test_squared_norms_are_derived(self, noisy_ds, tmp_path):
+        # one per oracle embedding row, computed with the dataset and frozen
+        # with it; a file holds no norms, and loading computes the same ones
+        emb, sq = noisy_ds.oracle_emb, noisy_ds.oracle_sq_norms
+        assert np.array_equal(sq, np.einsum("ij,ij->i", emb, emb))
+        with pytest.raises(ValueError):
+            sq[0] = 1.0
+        path = tmp_path / "pop.jsonl"
+        save_dataset(noisy_ds, str(path))
+        assert "norm" not in path.read_text()
+        again = load_dataset(str(path))
+        assert np.array_equal(again.oracle_sq_norms, noisy_ds.oracle_sq_norms)
+
     def test_object_view(self, tiny_ds):
         obj = resolve_query_object(tiny_ds, 5)
         assert obj.id == 5

@@ -14,7 +14,8 @@ from aqnn import (
     prf1,
     top_k_baseline,
 )
-from aqnn.frnn import CalibrationTable, distances_from, in_sorted
+from aqnn import frnn
+from aqnn.frnn import VALID_METRICS, CalibrationTable, distances_from, in_sorted, within
 
 
 class TestDist:
@@ -142,6 +143,62 @@ class TestExactFrnn:
         small = exact_frnn(clean_ds.ids, clean_ds.oracle_emb, q, 3.0)
         large = exact_frnn(clean_ds.ids, clean_ds.oracle_emb, q, 6.0)
         assert np.isin(small.member_ids, large.member_ids).all()
+
+
+class TestWithin:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the kernel's own, on inf and NaN
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 40), metric=st.sampled_from(VALID_METRICS),
+           offset=st.sampled_from([0.0, 1e8]),
+           coord=st.sampled_from(["grid", "floats", "normal", "subnormal", "any"]))
+    def test_equals_the_exact_kernel(self, data, dim, metric, offset, coord):
+        # integer coordinates put rows exactly on the cutoff, and a common
+        # 1e8 offset leaves the filter no row it can decide; normal draws
+        # fill every mantissa bit, the same scaled by 2^-525 have subnormal
+        # squares, and any float brings NaN, infinities and overflowing
+        # squares. Rows repeat, the query may be one of them, and the
+        # cutoff may be 0, a row's distance or a neighbour of one, or lie
+        # anywhere; a negative or NaN cutoff admits nothing
+        shape = (data.draw(st.integers(1, 6)) + 1, dim)
+        if coord in ("normal", "subnormal"):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+            pool = rng.standard_normal(shape) * (2.0 ** -525 if coord == "subnormal" else 100.0)
+        else:
+            elements = {"grid": st.integers(-3, 3).map(float), "floats": st.floats(-1e3, 1e3),
+                        "any": st.floats()}[coord]
+            pool = data.draw(arrays("float64", shape, elements=elements))
+        q = pool[data.draw(st.integers(0, len(pool) - 1))] + offset
+        rows = pool[data.draw(st.lists(st.integers(0, len(pool) - 2), max_size=30))] + offset
+        sq_norms = np.einsum("ij,ij->i", rows, rows)
+        try:
+            d = distances_from(metric, q, rows)
+        except DataError:  # a zero vector under cosine
+            with pytest.raises(DataError, match="zero"):
+                within(metric, q, rows, 1.0, sq_norms)
+            return
+        ties = d.tolist() + np.nextafter(d, 0.0).tolist() + np.nextafter(d, np.inf).tolist()
+        anywhere = data.draw(st.floats(0.0, 2.0 * float(np.nanmax(d, initial=1.0))))
+        for c in (*ties, anywhere, 0.0, -1.0, math.nan):
+            assert np.array_equal(within(metric, q, rows, c, sq_norms), d <= c)
+
+    def test_refines_only_what_rounding_cannot_decide(self, noisy_ds, monkeypatch):
+        refined = []
+
+        def spy(metric, q_emb, matrix, overwrite_input=False):
+            refined.append(len(matrix))
+            return distances_from(metric, q_emb, matrix, overwrite_input)
+
+        monkeypatch.setattr(frnn, "distances_from", spy)
+        emb, sq_norms = noisy_ds.oracle_emb, noisy_ds.oracle_sq_norms
+        for i in range(0, len(noisy_ds), 100):
+            for r in (3.0, 6.0, 9.0):
+                within("euclidean", emb[i], emb, r, sq_norms)
+        assert sum(refined) <= 3  # of 90 scans of 3000 rows
+        refined.clear()
+        far = np.random.default_rng(0).integers(-3, 4, size=(500, 16)) + 1e8
+        got = within("euclidean", far[0], far, 3.0, np.einsum("ij,ij->i", far, far))
+        assert refined == [len(far)]
+        assert np.array_equal(got, distances_from("euclidean", far[0], far) <= 3.0)
 
 
 def pqe_pt_bruteforce(sample_ids, proxy_dists, labeled_ids, truth_ids, t, delta, r):

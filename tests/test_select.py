@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
-from aqnn import sprint
+from aqnn import frnn, sprint
 from aqnn.cli import main
 from aqnn.frnn import distances_from
 from aqnn.sprint import ALGORITHMS, select
@@ -70,32 +70,40 @@ def _norm_kernel(metric, q_emb, matrix, overwrite_input=False):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_proxy_scan_writes_only_its_own_gather(noisy_ds, monkeypatch, algorithm, s):
     # the proxy kernel squares in the gather embed_many returned; a sample
-    # of all of D is scanned as the read-only stored matrix itself. Either
+    # of all of D is scanned as the read-only stored matrix itself. Oracle
+    # scans hand the exact kernel a gather, or, over the stored matrix
+    # (frnn.within), copies of the rows its filter cannot decide. Either
     # way the outputs equal the reference kernel's and the stored
     # embeddings keep every byte.
     s = len(noisy_ds) if s == "all" else s
     sample = draw_sample(noisy_ds, s, 8)
     pilot = draw_pilot(sample, S_P, 8)
     query = QuerySpec(q_id=int(pilot[0]), r=6.0, agg="AVG")
-    stored = noisy_ds.proxy_emb.tobytes(), noisy_ds.oracle_emb.tobytes()
-    scanned = []
+    stored = noisy_ds.proxy_emb, noisy_ds.oracle_emb
+    stored_bytes = [m.tobytes() for m in stored]
+    scanned = {"sprint": [], "frnn": []}
 
-    def spy(metric, q_emb, matrix, overwrite_input=False):
-        scanned.append((matrix is noisy_ds.proxy_emb, matrix.flags.writeable))
-        return distances_from(metric, q_emb, matrix, overwrite_input)
+    def spy(module):
+        def kernel(metric, q_emb, matrix, overwrite_input=False):
+            scanned[module].append((matrix is noisy_ds.proxy_emb, matrix.flags.writeable,
+                                    any(np.shares_memory(matrix, m) for m in stored)))
+            return distances_from(metric, q_emb, matrix, overwrite_input)
+        return kernel
 
-    def run(kernel):
-        monkeypatch.setattr(sprint, "distances_from", kernel)
+    def run(sprint_kernel, frnn_kernel):
+        monkeypatch.setattr(sprint, "distances_from", sprint_kernel)
+        monkeypatch.setattr(frnn, "distances_from", frnn_kernel)
         return select(_spec(algorithm), query, SprintConfig(s=s, s_p=S_P), noisy_ds,
                       sample, pilot, CallLedger())
 
-    got, want = run(spy), run(_norm_kernel)
-    assert (noisy_ds.proxy_emb.tobytes(), noisy_ds.oracle_emb.tobytes()) == stored
+    got, want = run(spy("sprint"), spy("frnn")), run(_norm_kernel, _norm_kernel)
+    assert [m.tobytes() for m in stored] == stored_bytes
     assert np.array_equal(got.neighbors.member_ids, want.neighbors.member_ids)
     assert (got.neighbors.threshold_used, got.t_star, got.probes, got.ledger.as_dict()) == (
         want.neighbors.threshold_used, want.t_star, want.probes, want.ledger.as_dict())
     full = s == len(noisy_ds)
-    assert scanned == ([] if algorithm == "brute_force" else [(full, not full)])
+    assert scanned["sprint"] == ([] if algorithm == "brute_force" else [(full, not full, full)])
+    assert set(scanned["frnn"]) <= {(False, True, False)}
 
 
 def test_unknown_algorithm_rejected(noisy_ds, drawn):
