@@ -37,7 +37,9 @@ from .models import oracle_model, proxy_model
 from .seeding import spawn_rng
 from .sprint import ALGORITHMS, QuerySpec, SprintConfig, select_neighbors
 
-_EXIT_BY_ERROR = {UsageError: 1, DataError: 2, DegenerateNeighborhoodError: 3}
+# The exit code of each error a subcommand may raise; the first match wins.
+_EXIT_BY_ERROR = {UsageError: 1, ValueError: 1, DataError: 2, FileNotFoundError: 2,
+                  IsADirectoryError: 2, DegenerateNeighborhoodError: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,7 +239,7 @@ def _cmd_bench(args) -> int:
         gen_config=(None if args.data is not None
                     else _from_flags(SyntheticGenConfig, args, seed=seed)),
     )
-    report = _from_flags(run_experiment, args, cfg=cfg)
+    report = run_experiment(cfg)
     text = report.to_json(include_timing=args.timings)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -360,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="oracle call cost in proxy-call units, for speedup")
     p_bench.add_argument("--sweep", choices=SWEEP_AXES)
     p_bench.add_argument("--grid", help="comma-separated sweep grid")
-    p_bench.add_argument("--parallel", type=int)
     p_bench.add_argument("--timings", action="store_true",
                          help="include wall-clock times (not byte-reproducible)")
     p_bench.add_argument("--out")
@@ -388,18 +389,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, DataError, DegenerateNeighborhoodError) as exc:
+    except BrokenPipeError:
+        return 0
+    except tuple(_EXIT_BY_ERROR) as exc:
         code = next(c for t, c in _EXIT_BY_ERROR.items() if isinstance(exc, t))
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

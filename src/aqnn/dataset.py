@@ -64,7 +64,8 @@ class Dataset:
     ``proxy_emb`` are (n, embedding_dim). ``bounds_source`` is ``"data"``
     when ``attr_bounds`` is omitted and derived from ``attrs``, and
     ``"declared"`` otherwise. All arrays are frozen after construction, so
-    a dataset can be shared across concurrently running experiment cells.
+    ``distances_from(overwrite_input=True)`` never writes a stored matrix
+    that an all-of-D scan passes it.
 
     ``oracle_sq_norms`` is a derived column: each oracle embedding row's
     squared norm, ``einsum("ij,ij->i")``, which ``frnn.within`` reads to

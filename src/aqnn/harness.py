@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .aggregate import AggregationContext, aggregate, relative_error
+from .aggregate import AGGREGATIONS, AggregationContext, aggregate, relative_error
 from .bounds import BoundsInput, min_sizes, reconcile_sizes
 from .dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from .errors import DegenerateNeighborhoodError
@@ -76,6 +77,16 @@ class SweepSpec:
             raise ValueError(f"{self.axis} sweep values must be positive, got {self.grid[0]:g}")
 
 
+def _require_distinct(what: str, items: Sequence) -> None:
+    """Raise ``ValueError`` if ``items`` is empty or names one item twice: a
+    report keys its cells and summaries by them, so a repeat is ambiguous."""
+    if not items:
+        raise ValueError(f"need at least one {what}")
+    repeated = [item for item, n in Counter(items).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{what} {repeated[0]!r} is repeated")
+
+
 @dataclass
 class ExperimentConfig:
     dataset: Dataset | None
@@ -97,12 +108,12 @@ class ExperimentConfig:
         if not (self.cost_ratio > 0 and np.isfinite(self.cost_ratio)):
             raise ValueError(f"cost ratio must be positive and finite, got {self.cost_ratio:g}")
         self.query_ids = tuple(as_query_id(q) for q in self.query_ids)
-        if not self.query_ids:
-            raise ValueError("need at least one query target")
-        if not self.aggs:
-            raise ValueError("need at least one aggregation")
-        if not self.algorithms:
-            raise ValueError("need at least one algorithm")
+        _require_distinct("query target", self.query_ids)
+        _require_distinct("aggregation", self.aggs)
+        _require_distinct("algorithm", self.algorithms)
+        for agg in self.aggs:
+            if agg not in AGGREGATIONS:
+                raise ValueError(f"unknown aggregation {agg!r}")
         for spec in self.algorithms:
             parse_algorithm(spec)
         if self.dataset is None and self.gen_config is None:
@@ -309,14 +320,6 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     return results
 
 
-_FORK_STATE: dict = {}
-
-
-def _run_job(idx: int) -> list[CellResult]:
-    pi, qi, trial = _FORK_STATE["jobs"][idx]
-    return _run_block(*_FORK_STATE["passes"][pi], qi, trial)
-
-
 def _summarize(cfg: ExperimentConfig, ds: Dataset, cells: list[CellResult]) -> dict:
     """Per-algorithm means and spreads; degenerate metrics excluded per field."""
     summary: dict = {}
@@ -425,7 +428,7 @@ def _vary(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     return sub
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Execute the configured grid; with a sweep, one pass per grid value.
 
     Sweeps hold the root seed fixed across passes so only the swept factor
@@ -435,40 +438,19 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 0) -> MetricsReport:
     Passes are prepared first; then each (query, trial) block runs on every
     pass in turn, so host speed drift reaches all passes alike. Cells are
     seeded by (query, trial) alone, so this order changes no output.
-    ``parallel`` above 1 runs the blocks in that many forked workers.
     """
-    if parallel < 0:
-        raise ValueError(f"parallel must be nonnegative, got {parallel}")
     if cfg.sweep is None:
         subs = [cfg]
     else:  # vary every grid value first so a bad one fails before any pass runs
         subs = [_vary(cfg, cfg.sweep.axis, value) for value in cfg.sweep.grid]
     passes = [(sub, *_prepare_pass(sub)) for sub in subs]
-    jobs = [
-        (pi, qi, trial)
-        for qi in range(len(cfg.query_ids))
-        for trial in range(cfg.trials)
-        for pi in range(len(passes))
-    ]
-    if parallel > 1:
-        import concurrent.futures
-        import multiprocessing
+    cells: list[list[CellResult]] = [[] for _ in passes]
+    for qi in range(len(cfg.query_ids)):
+        for trial in range(cfg.trials):
+            for p, pass_cells in zip(passes, cells):
+                pass_cells.extend(_run_block(*p, qi, trial))
 
-        _FORK_STATE.update({"passes": passes, "jobs": jobs})
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=parallel, mp_context=mp_ctx
-            ) as pool:
-                blocks = list(pool.map(_run_job, range(len(jobs))))
-        finally:
-            _FORK_STATE.clear()
-    else:
-        blocks = [_run_block(*passes[pi], qi, trial) for pi, qi, trial in jobs]
-
-    n = len(passes)  # jobs cycle through the passes, so pass pi owns every n-th block
-    reports = [_pass_report(*p, [c for b in blocks[pi::n] for c in b])
-               for pi, p in enumerate(passes)]
+    reports = [_pass_report(*p, c) for p, c in zip(passes, cells)]
     if cfg.sweep is None:
         return reports[0]
 
@@ -600,7 +582,8 @@ def run_ht_protocol(
     PCT the proportion z-test on the neighborhood fraction; both test at
     the pipeline's confidence ``sprint_cfg.alpha``.
 
-    Every id is checked by ``sprint.as_query_id`` before any ground truth.
+    Every id is checked by ``sprint.as_query_id``, and the list for
+    emptiness and repeats, before any ground truth.
     A degenerate trial is left out: one whose selection fails, or whose
     estimate test is undefined (say, a t-test on a single member). A cell
     scores the rest and its note counts the lost ones; a query with no
@@ -616,6 +599,7 @@ def run_ht_protocol(
         if op not in OPS:
             raise ValueError(f"op must be one of {OPS}, got {op!r}")
     query_ids = [as_query_id(q, len(ds)) for q in query_ids]
+    _require_distinct("query target", query_ids)
     oracle, proxy = oracle_model(), proxy_model()
     factors = list(factors) if factors is not None else default_ht_factors()
 

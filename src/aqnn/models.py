@@ -28,8 +28,7 @@ class CallLedger:
     charge drops the ids an earlier array holds with one ``searchsorted``
     per array and appends the rest.
 
-    Not thread-safe: parallel runs fork, and each experiment cell owns
-    its ledger.
+    Not thread-safe; each experiment cell owns its ledger.
     """
 
     def __init__(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aqnn import (
     Dataset,
@@ -8,6 +9,10 @@ from aqnn import (
     oracle_model,
     proxy_model,
 )
+
+# Hypothesis's per-example deadline measures host speed, not correctness.
+settings.register_profile("aqnn", deadline=None)
+settings.load_profile("aqnn")
 
 
 def pytest_configure(config):

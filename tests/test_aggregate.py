@@ -104,7 +104,7 @@ def outcome(run):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=st.data(), agg=st.sampled_from(AGGREGATIONS), d=st.integers(1, 10**6))
 def test_estimate_at_full_sample_is_the_truth(data, agg, d):
     # the one estimate rule at s = |D| equals the old truth formula bit for

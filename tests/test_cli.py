@@ -539,10 +539,35 @@ class TestBadInputFailsLoudly:
         assert code == 1
         assert "need at least one algorithm" in err
 
-    def test_negative_parallel(self, capsys):
-        code, _, err = run_cli(capsys, *self.BENCH, "--algorithms", "sprint_v", "--parallel=-4")
+    def test_parallel_flag_is_gone(self, capsys):
+        # bench runs its grid serially; the forked worker pool was removed
+        code, out, err = run_cli(capsys, *self.BENCH, "--algorithms", "sprint_v",
+                                 "--parallel", "2")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --parallel 2" in err
+
+    def test_unknown_aggregation_fails_before_any_population(self, capsys, monkeypatch):
+        # a dataset_size sweep generates its populations in its passes, so a
+        # bad --agg must fail before the first pass is prepared
+        import aqnn.harness
+
+        passes = []
+        monkeypatch.setattr(aqnn.harness, "_prepare_pass", lambda *a, **k: passes.append(a))
+        code, _, err = run_cli(capsys, *self.BENCH, "--agg", "AVG,FOO",
+                               "--sweep", "dataset_size", "--grid", "300,400")
         assert code == 1
-        assert "parallel must be nonnegative, got -4" in err
+        assert "unknown aggregation 'FOO'" in err
+        assert passes == []
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--queries", "1,1", "query target 1 is repeated"),
+        ("--agg", "avg,AVG", "aggregation 'AVG' is repeated"),
+        ("--algorithms", "sprint_v,top_k,sprint_v", "algorithm 'sprint_v' is repeated"),
+    ])
+    def test_repeated_bench_input(self, capsys, flag, value, message):
+        code, _, err = run_cli(capsys, *self.BENCH, flag, value)
+        assert code == 1
+        assert message in err
 
     def test_empty_op_list(self, capsys):
         code, _, err = run_cli(capsys, *self.HT, "--ops", ",")

@@ -147,7 +147,7 @@ class TestExactFrnn:
 
 class TestWithin:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the kernel's own, on inf and NaN
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(data=st.data(), dim=st.integers(1, 40), metric=st.sampled_from(VALID_METRICS),
            offset=st.sampled_from([0.0, 1e8]),
            coord=st.sampled_from(["grid", "floats", "normal", "subnormal", "any"]))
@@ -317,7 +317,7 @@ class TestPqePt:
         else:
             assert res.threshold_used == pytest.approx(expected_tau)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.data())
     def test_randomized_matches_bruteforce(self, data):
         rng_seed = data.draw(st.integers(0, 10**6))
@@ -333,7 +333,7 @@ class TestPqePt:
         res = run_pqe_pt(ids, proxy, ids, truth, t, delta, r)
         assert np.array_equal(res.member_ids, ids_of(expected_set))
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=600)
     @given(st.data())
     def test_ties_radius_slot_and_unlabeled_ids_match_bruteforce(self, data):
         # distances from a small grid repeat, so tie groups are common; the
@@ -361,7 +361,7 @@ class TestPqePt:
         assert np.array_equal(res.member_ids, ids_of(expected_set))
         assert res.threshold_used == expected_tau
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_nestedness_in_target(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
@@ -430,7 +430,7 @@ def pqe_pt_per_probe(sample_ids, sample_d, labeled_ids, labeled_d, oracle_truth,
 class TestCalibrationTable:
     """The table's probes against the per-probe selector."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_probes_match_per_probe_reference(self, data):
         # distances from a small grid tie often; the radius sits on a pilot

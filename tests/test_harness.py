@@ -2,6 +2,7 @@ import json
 import re
 import warnings
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -129,19 +130,20 @@ class TestRunExperiment:
         r2 = run_experiment(small_config(small_noisy_ds, **cfg))
         assert r1.to_json() == r2.to_json()
 
-    def test_parallel_matches_serial(self, small_noisy_ds):
-        cfg_kw = dict(algorithms=["sprint_v", "pqe_pt_fixed:0.9"], trials=2)
-        serial = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=0)
-        parallel = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=2)
-        assert serial.to_json() == parallel.to_json()
+    def test_sweep_cells_equal_single_radius_runs(self, small_noisy_ds):
+        # the passes' blocks run interleaved; that order moves no cell
+        cfg_kw = dict(algorithms=["sprint_v", "pqe_pt_fixed:0.9", "top_k"], trials=2)
+        grid = (4.0, 5.0, 6.0)
+        sweep = run_experiment(small_config(small_noisy_ds, **cfg_kw,
+                                            sweep=SweepSpec(axis="radius", grid=grid)))
 
-    def test_parallel_sweep_matches_serial(self, small_noisy_ds):
-        # every pass's blocks share one pool; the interleaved order moves no byte
-        cfg_kw = dict(algorithms=["sprint_v", "top_k"], trials=2,
-                      sweep=SweepSpec(axis="radius", grid=(4.0, 5.0, 6.0)))
-        serial = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=0)
-        parallel = run_experiment(small_config(small_noisy_ds, **cfg_kw), parallel=2)
-        assert serial.to_json() == parallel.to_json()
+        def untimed(cells):
+            return [{**asdict(c), "wall_time_s": None, "sweep_value": None} for c in cells]
+
+        for r in grid:
+            alone = run_experiment(small_config(small_noisy_ds, **cfg_kw, r=r))
+            swept = [c for c in sweep.cells if c.sweep_value == r]
+            assert untimed(swept) == untimed(alone.cells)
 
     def test_cells_name_the_spec_as_given(self, small_noisy_ds):
         specs = ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.90", "top_k",
@@ -544,6 +546,33 @@ def test_non_integer_query_id_raises(small_ds, monkeypatch, run, q):
         else:
             select_neighbors(QuerySpec(q_id=q, r=5.0, agg="AVG"), SprintConfig(s=250, s_p=80),
                              small_ds, oracle_model(), proxy_model())
+    assert calls == []
+
+
+@pytest.mark.parametrize("run,kw,message", [
+    ("ExperimentConfig", dict(query_ids=[1, 1]), "query target 1 is repeated"),
+    ("ExperimentConfig", dict(query_ids=[1, np.int64(1)]), "query target 1 is repeated"),
+    ("ExperimentConfig", dict(aggs=["AVG", "PCT", "AVG"]), "aggregation 'AVG' is repeated"),
+    ("ExperimentConfig", dict(algorithms=["sprint_v", "sprint_v"]),
+     "algorithm 'sprint_v' is repeated"),
+    ("ExperimentConfig", dict(aggs=["AVG", "FOO"]), "unknown aggregation 'FOO'"),
+    ("ExperimentConfig", dict(aggs=["avg"]), "unknown aggregation 'avg'"),
+    ("run_ht_protocol", dict(query_ids=[3, 17, 3]), "query target 3 is repeated"),
+    ("run_ht_protocol", dict(query_ids=[]), "need at least one query target"),
+])
+def test_ambiguous_inputs_raise_before_ground_truth(small_ds, monkeypatch, run, kw, message):
+    # a report keys its cells and summaries by query, aggregation and spec,
+    # so a repeat would give two answers under one key
+    import aqnn.harness
+
+    calls = []
+    monkeypatch.setattr(aqnn.harness, "ground_truth", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if run == "ExperimentConfig":
+            run_experiment(small_config(small_ds, **kw))
+        else:
+            run_ht_protocol(small_ds, r=5.0, agg="AVG",
+                            sprint_cfg=SprintConfig(s=250, s_p=80, seed=0), **kw)
     assert calls == []
 
 

@@ -164,7 +164,7 @@ def _faulty_line(record: dict, pos: int, kind: str, data) -> str:
     return json.dumps(record)
 
 
-@settings(max_examples=80, deadline=None,
+@settings(max_examples=80,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_chunked_loader_matches_reference(tmp_path, data):
@@ -221,7 +221,7 @@ def _records(n):
 
 @pytest.mark.parametrize("kind", FAULTS)
 @pytest.mark.parametrize("pos", [2, 3])  # the last record of the first block, the first of the next
-@settings(max_examples=4, deadline=None,
+@settings(max_examples=4,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fault_either_side_of_a_block_boundary(tmp_path, kind, pos, data):

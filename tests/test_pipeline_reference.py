@@ -201,7 +201,7 @@ def populations(draw):
     return Dataset(attrs, oracle, oracle, proxy)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), ds=populations())
 def test_select_matches_reference(data, ds):
     n = len(ds)

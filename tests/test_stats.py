@@ -90,7 +90,7 @@ class TestTTest:
         scale=st.floats(0.1, 10),
         seed=st.integers(0, 10**6),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_decision_invariant_under_affine_rescaling(self, shift, scale, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(0, 1, 20)
