@@ -4,13 +4,15 @@ A run is a grid of cells (algorithm x query x trial). Every cell derives
 its randomness from the root seed and its own indices, so results are
 independent of execution order and bit-reproducible; algorithms within one
 (query, trial) pair share the same sample and pilot so per-trial
-comparisons are paired. Ground truth per (query, radius) is computed once
-by brute force over the full population and its oracle calls are accounted
-separately from the pipeline ledgers.
+comparisons are paired, and its pilot-calibrated specs share one selection
+state, built once (``_run_block``). Ground truth per (query, radius) is
+computed once by brute force over the full population and its oracle calls
+are accounted separately from the pipeline ledgers.
 
-Wall-clock timings are collected per cell but quarantined from the
-canonical report payload (they can never be bit-reproducible); request
-them explicitly via ``include_timing``.
+Wall-clock timings are collected per cell, a shared build split evenly
+among the cells that used it, but quarantined from the canonical report
+payload (they can never be bit-reproducible); request them explicitly via
+``include_timing``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .frnn import NeighborSet, in_sorted, prf1
 from .models import CallLedger, oracle_model, proxy_model, speedup
 from .seeding import derive_seed
 from .sprint import (
+    CALIBRATED,
     QuerySpec,
+    SelectionContext,
     SelectionResult,
     SprintConfig,
     as_query_id,
@@ -41,6 +45,7 @@ from .sprint import (
     oracle_scan,
     parse_algorithm,
     resolve_query_object,
+    search,
     select,
     select_neighbors,
 )
@@ -292,7 +297,15 @@ def evaluate_cell(
 
 def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
                qi: int, trial: int) -> list[CellResult]:
-    """All algorithms for one (query, trial) pair, sharing sample and pilot."""
+    """All algorithms for one (query, trial) pair, on one sample and pilot.
+
+    The k specs in ``sprint.CALIBRATED`` share one ``SelectionContext``,
+    built once here: each cell runs ``search`` on it with a copy of the
+    ledger the build charged, so it reads the calls the spec would charge
+    alone. The build is timed once and each of the k cells' wall times
+    carries 1/k of it. ``top_k`` and ``brute_force`` run ``select`` with
+    their own scans and a fresh ledger.
+    """
     query_id = cfg.query_ids[qi]
     cell_seed = derive_seed(cfg.seed, "cell", qi, trial)
     sample_ids = draw_sample(ds, cfg.sprint.s, cell_seed)
@@ -300,13 +313,26 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     gt = gts[query_id]
     on_s = gt.within(sample_ids)
     query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
+    specs = [(spec, *parse_algorithm(spec)) for spec in cfg.algorithms]
+    shared = sum(algorithm in CALIBRATED for _, algorithm, _ in specs)
+    if shared:
+        start = time.perf_counter()
+        ctx = SelectionContext.build(
+            ds, resolve_query_object(ds, query_id), cfg.r, cfg.metric, sample_ids, pilot_ids,
+            CallLedger(), delta=cfg.sprint.alpha,
+        )
+        build_share = (time.perf_counter() - start) / shared
 
     results = []
-    for spec in cfg.algorithms:
-        ledger = CallLedger()
+    for spec, algorithm, target in specs:
         start = time.perf_counter()
+        on_ctx = algorithm in CALIBRATED
+        ledger = ctx.ledger.copy() if on_ctx else CallLedger()
         try:
-            res = select(spec, query, cfg.sprint, ds, sample_ids, pilot_ids, ledger)
+            if on_ctx:
+                res = search(replace(ctx, ledger=ledger), cfg.sprint, spec, algorithm, target)
+            else:
+                res = select(spec, query, cfg.sprint, ds, sample_ids, pilot_ids, ledger)
         except DegenerateNeighborhoodError as exc:
             cell = CellResult(
                 algorithm=spec, query_id=query_id, trial=trial,
@@ -315,7 +341,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
             )
         else:
             cell = evaluate_cell(query_id, trial, res, ds, cfg.aggs, gt, on_s)
-        cell.wall_time_s = time.perf_counter() - start
+        cell.wall_time_s = time.perf_counter() - start + (build_share if on_ctx else 0.0)
         results.append(cell)
     return results
 
@@ -582,8 +608,8 @@ def run_ht_protocol(
     PCT the proportion z-test on the neighborhood fraction; both test at
     the pipeline's confidence ``sprint_cfg.alpha``.
 
-    Every id is checked by ``sprint.as_query_id``, and the list for
-    emptiness and repeats, before any ground truth.
+    Every id is checked by ``sprint.as_query_id``, and the ids, factors
+    and ops for emptiness and repeats, before any ground truth.
     A degenerate trial is left out: one whose selection fails, or whose
     estimate test is undefined (say, a t-test on a single member). A cell
     scores the rest and its note counts the lost ones; a query with no
@@ -593,15 +619,15 @@ def run_ht_protocol(
         raise ValueError("hypothesis-testing protocol covers AVG and PCT")
     if k_samples < 1:
         raise ValueError(f"k_samples must be at least 1, got {k_samples}")
-    if not ops:
-        raise ValueError("need at least one op")
     for op in ops:
         if op not in OPS:
             raise ValueError(f"op must be one of {OPS}, got {op!r}")
+    _require_distinct("op", ops)
+    factors = list(factors) if factors is not None else default_ht_factors()
+    _require_distinct("factor", factors)
     query_ids = [as_query_id(q, len(ds)) for q in query_ids]
     _require_distinct("query target", query_ids)
     oracle, proxy = oracle_model(), proxy_model()
-    factors = list(factors) if factors is not None else default_ht_factors()
 
     def decide(h: Hypothesis, members: np.ndarray, n: int) -> bool:
         """Reject-null decision on a neighborhood drawn from n objects."""

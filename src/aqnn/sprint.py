@@ -10,8 +10,11 @@ refines the target within +-TWO_PHASE_WINDOW for F1.
 
 ``select`` is the one dispatch from an algorithm spec to selection code:
 the three searches, the fixed-target cutoff, and the top_k and brute_force
-baselines. ``select_neighbors`` draws the sample and pilot and runs the
-aggregation's search through it. Each step reads the model its role fixes.
+baselines. For the first four it builds a ``SelectionContext`` and hands it
+to ``search``; a caller running several of them on one sample and pilot
+builds the context once and calls ``search`` for each. ``select_neighbors``
+draws the sample and pilot and runs the aggregation's search through
+``select``. Each step reads the model its role fixes.
 
 One root seed drives independent derived streams for the sample and the
 pilot, so resizing the pilot never perturbs the sample. The ledger over a
@@ -44,6 +47,8 @@ SEARCH_BY_SENSITIVITY = {"value": "sprint_v", "count": "sprint_c", "both": "two_
 
 # Every selection algorithm ``select`` runs; pqe_pt_fixed takes a target.
 ALGORITHMS = ("sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed", "top_k", "brute_force")
+# Those that calibrate on the pilot: ``search`` runs them on a SelectionContext.
+CALIBRATED = ("sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed")
 
 TWO_PHASE_WINDOW = 0.05  # half-width of the refinement window around the balanced target
 
@@ -368,9 +373,10 @@ def select(
     """Run the selection algorithm ``spec`` names on a drawn sample and pilot.
 
     The searches and ``pqe_pt_fixed:<t>`` (at target t) calibrate on the
-    pilot; ``top_k`` labels the whole sample with the oracle and keeps
-    the K proxy-nearest, K being the true neighbor count; ``brute_force``
-    labels all of D. Every model call is charged to ``ledger``.
+    pilot: ``search`` on a ``SelectionContext`` built here. ``top_k``
+    labels the whole sample with the oracle and keeps the K proxy-nearest,
+    K being the true neighbor count; ``brute_force`` labels all of D.
+    Every model call is charged to ``ledger``.
     """
     algorithm, target = parse_algorithm(spec)
     q_obj = resolve_query_object(ds, query.q_id)
@@ -393,6 +399,17 @@ def select(
     ctx = SelectionContext.build(
         ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, ledger, delta=cfg.alpha,
     )
+    return search(ctx, cfg, spec, algorithm, target)
+
+
+def search(
+    ctx: SelectionContext, cfg: SprintConfig, spec: str, algorithm: str, target: float | None,
+) -> SelectionResult:
+    """The second half of ``select`` for the specs in ``CALIBRATED``: run the
+    search ``algorithm`` names, or take ``pqe_pt_fixed``'s ``target``, on a
+    built context. ``(algorithm, target)`` is ``parse_algorithm(spec)``.
+    Charges no model call; the build charged them all to ``ctx.ledger``.
+    """
     # The searches are looked up as module globals at call time, so a tracer
     # that rebinds them (bench/spans.py) sees every call.
     if algorithm == "pqe_pt_fixed":
@@ -401,7 +418,9 @@ def select(
         return sprint_v(ctx, cfg.omega_v)
     if algorithm == "sprint_c":
         return sprint_c(ctx, cfg.omega_c, cfg.max_iters)
-    return two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
+    if algorithm == "two_phase":
+        return two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
+    raise ValueError(f"algorithm {spec!r} does not calibrate on a pilot")
 
 
 def select_neighbors(

@@ -682,6 +682,17 @@ class TestHtFactors:
         assert code == 0, err
         assert json.loads(out)["factors"] == default_ht_factors()
 
+    @pytest.mark.parametrize("flags,message", [
+        # each factor is rounded to 10 digits, so a step below that repeats 1.0
+        (["--factors", "1", "1.00000000003", "1e-11"], "factor 1.0 is repeated"),
+        (["--ops", "ge,ge"], "op 'ge' is repeated"),
+    ])
+    def test_repeated_factor_or_op(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, *self.HT, *flags)
+        assert code == 1
+        assert message in err
+        assert out == "" and "Traceback" not in err
+
 
 class TestTextOutputs:
     """The plain-text and summary outputs no other test reads."""

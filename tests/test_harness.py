@@ -1,17 +1,20 @@
 import json
 import re
+import time
 import warnings
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from aqnn import (
+    CallLedger,
     DegenerateNeighborhoodError,
     QuerySpec,
     SprintConfig,
     SyntheticGenConfig,
+    draw_pilot,
     draw_sample,
     generate_synthetic,
     oracle_model,
@@ -21,12 +24,14 @@ from aqnn import (
 from aqnn.bounds import BoundsInput, min_sizes, reconcile_sizes
 from aqnn.dataset import Dataset, load_dataset, save_dataset
 from aqnn.seeding import derive_seed
-from aqnn.sprint import parse_algorithm
+from aqnn.sprint import CALIBRATED, SelectionContext, parse_algorithm, select
 from aqnn.harness import (
+    CellResult,
     ExperimentConfig,
     SweepSpec,
     canonical_json,
     coverage_check,
+    evaluate_cell,
     ground_truth,
     run_experiment,
     run_ht_protocol,
@@ -315,6 +320,85 @@ class TestRunExperiment:
         assert report.summary["sprint_v"]["degenerate_cells"] == len(report.cells)
 
 
+def _reference_block(cfg, ds, gts, qi, trial):
+    """The per-cell path the shared selection state replaced: each spec runs
+    ``select`` on the block's sample and pilot with a fresh ledger, then
+    ``evaluate_cell``; a degenerate selection keeps the calls it charged."""
+    query_id = cfg.query_ids[qi]
+    cell_seed = derive_seed(cfg.seed, "cell", qi, trial)
+    sample = draw_sample(ds, cfg.sprint.s, cell_seed)
+    pilot = draw_pilot(sample, cfg.sprint.s_p, cell_seed)
+    gt = gts[query_id]
+    query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
+    cells = []
+    for spec in cfg.algorithms:
+        ledger = CallLedger()
+        try:
+            res = select(spec, query, cfg.sprint, ds, sample, pilot, ledger)
+        except DegenerateNeighborhoodError as exc:
+            cells.append(CellResult(spec, query_id, trial, dict.fromkeys(cfg.aggs),
+                                    dict.fromkeys(cfg.aggs), ledger.oracle_calls,
+                                    ledger.proxy_calls, str(exc)))
+        else:
+            cells.append(evaluate_cell(query_id, trial, res, ds, cfg.aggs, gt,
+                                       gt.within(sample)))
+    return cells
+
+
+class TestSharedSelectionState:
+    SPECS = ["sprint_v", "top_k", "sprint_c", "pqe_pt_fixed:0.9", "brute_force", "two_phase"]
+
+    @pytest.fixture(scope="class")
+    def outlier_ds(self, small_noisy_ds):
+        # object 800 lies far from the rest, so it is its own only true
+        # neighbour and most pilots hold none
+        return with_points(small_noisy_ds, np.full((1, 8), 100.0), 80.0)
+
+    def test_cells_equal_the_per_cell_reference(self, outlier_ds):
+        grid = (4.0, 5.0, 6.0)
+        cfg = small_config(outlier_ds, query_ids=[3, 800], aggs=["AVG", "PCT", "SUM"],
+                           algorithms=self.SPECS, trials=4,
+                           sweep=SweepSpec(axis="radius", grid=grid))
+        want = []
+        for r in grid:
+            sub = replace(cfg, r=r, sweep=None)
+            gts = {q: ground_truth(outlier_ds, QuerySpec(q_id=q, r=r, agg="AVG"), sub.aggs)
+                   for q in sub.query_ids}
+            for qi in range(len(sub.query_ids)):
+                for trial in range(sub.trials):
+                    for cell in _reference_block(sub, outlier_ds, gts, qi, trial):
+                        want.append({**asdict(cell), "sweep_value": r})
+        got = run_experiment(cfg).cells
+        assert [{**asdict(c), "wall_time_s": 0.0} for c in got] == want
+
+        no_pilot_truth = [c for c in got if c.query_id == 800 and c.algorithm in CALIBRATED
+                          and c.note.startswith("pilot contains no true neighbors")]
+        assert {c.algorithm for c in no_pilot_truth} == {"sprint_v", "sprint_c", "two_phase"}
+
+    def test_one_build_per_block_timed_into_its_cells(self, small_noisy_ds, monkeypatch):
+        builds = []
+        build = SelectionContext.build.__func__
+
+        def spy(cls, *args, **kwargs):
+            # a build far slower than any cell's own work, so the cells'
+            # sum can reach it only by carrying the build's time
+            t0 = time.perf_counter()
+            ctx = build(cls, *args, **kwargs)
+            time.sleep(0.005)
+            builds.append(time.perf_counter() - t0)
+            return ctx
+
+        monkeypatch.setattr(SelectionContext, "build", classmethod(spy))
+        for specs in (self.SPECS, ["sprint_c"], ["top_k", "brute_force"]):
+            builds.clear()
+            cells = run_experiment(small_config(small_noisy_ds, algorithms=specs)).cells
+            shared = [spec for spec in specs if parse_algorithm(spec)[0] in CALIBRATED]
+            assert len(builds) == (2 * 3 if shared else 0)  # queries x trials
+            blocks = [cells[i:i + len(specs)] for i in range(0, len(cells), len(specs))]
+            for block, built_s in zip(blocks, builds):
+                assert sum(c.wall_time_s for c in block if c.algorithm in shared) >= built_s
+
+
 class TestCoverage:
     def test_tolerance_dominates_range_full_coverage(self, small_ds):
         # omega_s + omega_nn beyond the attribute span: every trial lands
@@ -559,6 +643,10 @@ def test_non_integer_query_id_raises(small_ds, monkeypatch, run, q):
     ("ExperimentConfig", dict(aggs=["avg"]), "unknown aggregation 'avg'"),
     ("run_ht_protocol", dict(query_ids=[3, 17, 3]), "query target 3 is repeated"),
     ("run_ht_protocol", dict(query_ids=[]), "need at least one query target"),
+    ("run_ht_protocol", dict(query_ids=[3], factors=[1.0, 1.0]), "factor 1.0 is repeated"),
+    ("run_ht_protocol", dict(query_ids=[3], factors=[0.5, 1, 1.0]), "factor 1 is repeated"),
+    ("run_ht_protocol", dict(query_ids=[3], factors=[]), "need at least one factor"),
+    ("run_ht_protocol", dict(query_ids=[3], ops=("ge", "le", "ge")), "op 'ge' is repeated"),
 ])
 def test_ambiguous_inputs_raise_before_ground_truth(small_ds, monkeypatch, run, kw, message):
     # a report keys its cells and summaries by query, aggregation and spec,

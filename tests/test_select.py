@@ -12,7 +12,7 @@ from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
 from aqnn import frnn, sprint
 from aqnn.cli import main
 from aqnn.frnn import distances_from
-from aqnn.sprint import ALGORITHMS, select
+from aqnn.sprint import ALGORITHMS, parse_algorithm, select
 
 S, S_P = 400, 120
 
@@ -121,6 +121,15 @@ def test_target_only_where_the_algorithm_takes_one(noisy_ds, drawn, spec):
         select(spec, QuerySpec(q_id=0, r=6.0, agg="AVG"), SprintConfig(s=S, s_p=S_P),
                noisy_ds, *drawn, ledger)
     assert ledger.as_dict() == {"oracle_calls": 0, "proxy_calls": 0}
+
+
+@pytest.mark.parametrize("spec", ["top_k", "brute_force"])
+def test_search_runs_only_calibrated_specs(noisy_ds, drawn, spec):
+    # the baselines keep their own scans; a context never stands in for them
+    ctx = sprint.SelectionContext.build(noisy_ds, sprint.resolve_query_object(noisy_ds, 0),
+                                        6.0, "euclidean", *drawn, CallLedger())
+    with pytest.raises(ValueError, match=f"{spec!r} does not calibrate on a pilot"):
+        sprint.search(ctx, SprintConfig(s=S, s_p=S_P), spec, *parse_algorithm(spec))
 
 
 @pytest.mark.parametrize("spec", ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.90",
