@@ -38,8 +38,8 @@ from .seeding import spawn_rng
 from .sprint import ALGORITHMS, QuerySpec, SprintConfig, select_neighbors
 
 # The exit code of each error a subcommand may raise; the first match wins.
-_EXIT_BY_ERROR = {UsageError: 1, ValueError: 1, DataError: 2, FileNotFoundError: 2,
-                  IsADirectoryError: 2, DegenerateNeighborhoodError: 3}
+_EXIT_BY_ERROR = {UsageError: 1, ValueError: 1, DataError: 2, OSError: 2,
+                  DegenerateNeighborhoodError: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError: it must be caught first
         return 0
     except tuple(_EXIT_BY_ERROR) as exc:
         code = next(c for t, c in _EXIT_BY_ERROR.items() if isinstance(exc, t))

@@ -4,10 +4,10 @@ A run is a grid of cells (algorithm x query x trial). Every cell derives
 its randomness from the root seed and its own indices, so results are
 independent of execution order and bit-reproducible; algorithms within one
 (query, trial) pair share the same sample and pilot so per-trial
-comparisons are paired, and its pilot-calibrated specs share one selection
-state, built once (``_run_block``). Ground truth per (query, radius) is
-computed once by brute force over the full population and its oracle calls
-are accounted separately from the pipeline ledgers.
+comparisons are paired, and its pilot-calibrated specs search one selection
+state, built once (``_run_block``), that no search charges. Ground truth
+per (query, radius) is computed once by brute force over the full
+population; its oracle calls are accounted apart from the pipeline ledgers.
 
 Wall-clock timings are collected per cell, a shared build split evenly
 among the cells that used it, but quarantined from the canonical report
@@ -300,11 +300,11 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     """All algorithms for one (query, trial) pair, on one sample and pilot.
 
     The k specs in ``sprint.CALIBRATED`` share one ``SelectionContext``,
-    built once here: each cell runs ``search`` on it with a copy of the
-    ledger the build charged, so it reads the calls the spec would charge
-    alone. The build is timed once and each of the k cells' wall times
-    carries 1/k of it. ``top_k`` and ``brute_force`` run ``select`` with
-    their own scans and a fresh ledger.
+    built once here, and each cell runs ``search`` on it as built. A search
+    charges no model call, so every such cell reads the build's ledger: the
+    calls the spec would charge alone. The build is timed once and each of
+    the k cells' wall times carries 1/k of it. ``top_k`` and
+    ``brute_force`` run ``select`` with their own scans and a fresh ledger.
     """
     query_id = cfg.query_ids[qi]
     cell_seed = derive_seed(cfg.seed, "cell", qi, trial)
@@ -313,8 +313,8 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
     gt = gts[query_id]
     on_s = gt.within(sample_ids)
     query = QuerySpec(q_id=query_id, r=cfg.r, agg=cfg.aggs[0], metric=cfg.metric)
-    specs = [(spec, *parse_algorithm(spec)) for spec in cfg.algorithms]
-    shared = sum(algorithm in CALIBRATED for _, algorithm, _ in specs)
+    on_ctx = [parse_algorithm(spec)[0] in CALIBRATED for spec in cfg.algorithms]
+    shared = sum(on_ctx)
     if shared:
         start = time.perf_counter()
         ctx = SelectionContext.build(
@@ -324,13 +324,12 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
         build_share = (time.perf_counter() - start) / shared
 
     results = []
-    for spec, algorithm, target in specs:
+    for spec, calibrated in zip(cfg.algorithms, on_ctx):
         start = time.perf_counter()
-        on_ctx = algorithm in CALIBRATED
-        ledger = ctx.ledger.copy() if on_ctx else CallLedger()
+        ledger = ctx.ledger if calibrated else CallLedger()
         try:
-            if on_ctx:
-                res = search(replace(ctx, ledger=ledger), cfg.sprint, spec, algorithm, target)
+            if calibrated:
+                res = search(ctx, cfg.sprint, spec)
             else:
                 res = select(spec, query, cfg.sprint, ds, sample_ids, pilot_ids, ledger)
         except DegenerateNeighborhoodError as exc:
@@ -341,7 +340,7 @@ def _run_block(cfg: ExperimentConfig, ds: Dataset, gts: dict[int, GroundTruth],
             )
         else:
             cell = evaluate_cell(query_id, trial, res, ds, cfg.aggs, gt, on_s)
-        cell.wall_time_s = time.perf_counter() - start + (build_share if on_ctx else 0.0)
+        cell.wall_time_s = time.perf_counter() - start + (build_share if calibrated else 0.0)
         results.append(cell)
     return results
 

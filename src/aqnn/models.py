@@ -28,7 +28,8 @@ class CallLedger:
     charge drops the ids an earlier array holds with one ``searchsorted``
     per array and appends the rest.
 
-    Not thread-safe; each experiment cell owns its ledger, or a ``copy``.
+    Not thread-safe; one selection state owns it: a built context, which
+    its searches only read, or one baseline cell's scans.
     """
 
     def __init__(self):
@@ -58,15 +59,6 @@ class CallLedger:
             charged.append(new.copy())  # the caller may reuse its array
             self._calls[role] += new.size
         return new.size
-
-    def copy(self) -> "CallLedger":
-        """A ledger holding the same charges; later charges to either one
-        never reach the other. No charge writes an array it has stored,
-        so the two share those arrays."""
-        out = CallLedger()
-        out._charged = {role: list(arrays) for role, arrays in self._charged.items()}
-        out._calls = dict(self._calls)
-        return out
 
     def as_dict(self) -> dict[str, int]:
         return {"oracle_calls": self.oracle_calls, "proxy_calls": self.proxy_calls}

@@ -151,7 +151,7 @@ def ternary_search_max(
     k iterations is (2/3)^k of the original; for a strictly unimodal f the
     maximizer stays inside. Returns (argmax estimate, iterations).
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     iterations = 0
     while hi - lo > omega:
@@ -283,6 +283,10 @@ def _balance_search(
     unreachable; the iteration cap bounds the loop and the best-gap target
     seen wins.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    if math.isnan(omega_c):
+        raise ValueError(f"omega_c must be a number, got {omega_c!r}")
     lo, hi = 0.0, 1.0
     best_gap, best_t = None, None
     probes = 0
@@ -399,17 +403,17 @@ def select(
     ctx = SelectionContext.build(
         ds, q_obj, query.r, query.metric, sample_ids, pilot_ids, ledger, delta=cfg.alpha,
     )
-    return search(ctx, cfg, spec, algorithm, target)
+    return search(ctx, cfg, spec)
 
 
-def search(
-    ctx: SelectionContext, cfg: SprintConfig, spec: str, algorithm: str, target: float | None,
-) -> SelectionResult:
+def search(ctx: SelectionContext, cfg: SprintConfig, spec: str) -> SelectionResult:
     """The second half of ``select`` for the specs in ``CALIBRATED``: run the
-    search ``algorithm`` names, or take ``pqe_pt_fixed``'s ``target``, on a
-    built context. ``(algorithm, target)`` is ``parse_algorithm(spec)``.
-    Charges no model call; the build charged them all to ``ctx.ledger``.
+    search ``spec`` names, or take ``pqe_pt_fixed``'s target, on a built
+    context. Charges no model call, so every result's ledger is
+    ``ctx.ledger`` as the build left it; any number of specs may run on one
+    context.
     """
+    algorithm, target = parse_algorithm(spec)
     # The searches are looked up as module globals at call time, so a tracer
     # that rebinds them (bench/spans.py) sees every call.
     if algorithm == "pqe_pt_fixed":

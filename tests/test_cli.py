@@ -1,5 +1,7 @@
 import inspect
+import io
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -593,6 +595,30 @@ class TestBadInputFailsLoudly:
         code, _, err = run_cli(capsys, *self.HT, "--factors", "1", "0.5", "0.1")
         assert code == 1
         assert "--factors needs LO HI STEP with STEP > 0 and HI >= LO" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--data", "{}", "--q-id", "0"],
+        ["gen", "--n", "20", "--out", "{}"],
+        [*BENCH, "--out", "{}"],
+        [*BENCH, "--csv", "{}"],
+    ], ids=["query --data", "gen --out", "bench --out", "bench --csv"])
+    def test_unusable_path_is_data_error(self, tmp_path, capsys, argv):
+        # a path under a regular file can be neither read nor written
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "x")
+        code, _, err = run_cli(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 2
+        assert err.startswith("error: ") and f"Not a directory: {path!r}" in err
+
+    def test_broken_pipe_exits_0(self, monkeypatch):
+        # BrokenPipeError is an OSError, which exits 2; a reader that closed
+        # the pipe early is no error, so main catches it first
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["bounds", "--agg", "PCT"]) == 0
 
     GEN = ["gen", "--n", "50", "--out", "pop.jsonl"]
 

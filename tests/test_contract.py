@@ -5,11 +5,18 @@ traces functions by (module, attribute path), and a name it cannot find
 would otherwise fail only in a traced benchmark run. ``bench/inputs.py``
 writes the benchmark's JSONL populations with its own writer, so a loader
 that stopped reading them would otherwise fail only in a benchmark run.
+The README's Python examples are run as written, so a signature they call
+cannot change without them, and ``tools/grid_cells.py``, which imports the
+benchmark's inputs and grid configuration, is run for one round.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +24,8 @@ import pytest
 
 import aqnn
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _bench_module(name):
@@ -75,3 +83,28 @@ def test_benchmark_input_file_loads(tmp_path):
     assert np.array_equal(ds.proxy_emb, pop["proxy"])
     assert ds.attr_bounds == inputs.ATTR_BOUNDS
     assert ds.bounds_source == "declared"
+
+
+def test_readme_python_examples_run(capsys):
+    # every fenced python block, in order, in one namespace: a later block
+    # reads the dataset and names an earlier one made
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    # s_p oracle and s proxy calls, plus one of each for the query target
+    assert capsys.readouterr().out.endswith("{'oracle_calls': 301, 'proxy_calls': 1001}\n")
+    assert namespace["res"].algorithm == "pqe_pt_fixed:0.7"
+
+
+def test_grid_cells_tool_runs():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "grid_cells.py"), "--rounds", "1"],
+                         cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+    report = json.loads(out)
+    assert set(report) == {"seed", "rounds", "cells_per_round", "round_ms_median",
+                           "cell_ms_median"}
+    assert report["rounds"] == 1 and report["round_ms_median"] > 0
+    assert set(report["cell_ms_median"]) == {"sprint_v", "sprint_c", "two_phase", "top_k",
+                                             "brute_force"}

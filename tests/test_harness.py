@@ -24,7 +24,14 @@ from aqnn import (
 from aqnn.bounds import BoundsInput, min_sizes, reconcile_sizes
 from aqnn.dataset import Dataset, load_dataset, save_dataset
 from aqnn.seeding import derive_seed
-from aqnn.sprint import CALIBRATED, SelectionContext, parse_algorithm, select
+from aqnn.sprint import (
+    CALIBRATED,
+    SelectionContext,
+    parse_algorithm,
+    resolve_query_object,
+    search,
+    select,
+)
 from aqnn.harness import (
     CellResult,
     ExperimentConfig,
@@ -374,6 +381,24 @@ class TestSharedSelectionState:
         no_pilot_truth = [c for c in got if c.query_id == 800 and c.algorithm in CALIBRATED
                           and c.note.startswith("pilot contains no true neighbors")]
         assert {c.algorithm for c in no_pilot_truth} == {"sprint_v", "sprint_c", "two_phase"}
+
+    def test_searches_read_the_build_ledger_and_charge_nothing(self, small_noisy_ds):
+        # a block's calibrated cells all report the build's ledger, so one
+        # search that charged a call would reach every cell after it
+        cfg = small_config(small_noisy_ds)
+        cell_seed = derive_seed(cfg.seed, "cell", 0, 0)
+        sample = draw_sample(small_noisy_ds, cfg.sprint.s, cell_seed)
+        pilot = draw_pilot(sample, cfg.sprint.s_p, cell_seed)
+        ctx = SelectionContext.build(
+            small_noisy_ds, resolve_query_object(small_noisy_ds, cfg.query_ids[0]), cfg.r,
+            cfg.metric, sample, pilot, CallLedger(), delta=cfg.sprint.alpha,
+        )
+        assert ctx.table.n_truth  # no search stops at a degenerate pilot
+        built = ctx.ledger.as_dict()
+        for spec in ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.9"]:
+            res = search(ctx, cfg.sprint, spec)
+            assert res.algorithm == spec and res.ledger is ctx.ledger
+            assert ctx.ledger.as_dict() == built
 
     def test_one_build_per_block_timed_into_its_cells(self, small_noisy_ds, monkeypatch):
         builds = []

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -132,36 +130,6 @@ class TestCallLedger:
             ids = data.draw(_charge_ids(sorted(ref._charged[role])))
             assert ledger.charge(role, ids) == ref.charge(role, ids)
             assert ledger.as_dict() == ref.as_dict()
-
-    @given(st.data())
-    def test_copies_match_set_ledger_copies(self, data):
-        # ledgers copied at any point, from the original or from a copy:
-        # a charge reaches only the ledger it is made to, and every ledger
-        # keeps matching its own deep-copied reference
-        pairs = [(CallLedger(), SetLedger())]
-        for _ in range(data.draw(st.integers(0, 30))):
-            i = data.draw(st.integers(0, len(pairs)))
-            if i == len(pairs):  # copy one of the ledgers
-                ledger, ref = pairs[data.draw(st.integers(0, len(pairs) - 1))]
-                pairs.append((ledger.copy(), copy.deepcopy(ref)))
-            else:
-                ledger, ref = pairs[i]
-                role = data.draw(st.sampled_from(["oracle", "proxy"]))
-                ids = data.draw(_charge_ids(sorted(ref._charged[role])))
-                assert ledger.charge(role, ids) == ref.charge(role, ids)
-            for ledger, ref in pairs:
-                assert ledger.as_dict() == ref.as_dict()
-
-    def test_copy_shares_no_later_charge(self):
-        ledger = CallLedger()
-        ledger.charge("proxy", np.arange(5))
-        ledger.charge("oracle", 2)
-        twin = ledger.copy()
-        assert twin is not ledger and twin.as_dict() == ledger.as_dict()
-        assert twin.charge("proxy", np.arange(8)) == 3
-        assert ledger.charge("oracle", [2, 9]) == 1
-        assert ledger.as_dict() == {"oracle_calls": 2, "proxy_calls": 5}
-        assert twin.as_dict() == {"oracle_calls": 1, "proxy_calls": 8}
 
     def test_caller_reusing_its_array_leaves_counts(self):
         ledger = CallLedger()

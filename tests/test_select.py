@@ -12,7 +12,7 @@ from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
 from aqnn import frnn, sprint
 from aqnn.cli import main
 from aqnn.frnn import distances_from
-from aqnn.sprint import ALGORITHMS, parse_algorithm, select
+from aqnn.sprint import ALGORITHMS, select
 
 S, S_P = 400, 120
 
@@ -123,13 +123,18 @@ def test_target_only_where_the_algorithm_takes_one(noisy_ds, drawn, spec):
     assert ledger.as_dict() == {"oracle_calls": 0, "proxy_calls": 0}
 
 
-@pytest.mark.parametrize("spec", ["top_k", "brute_force"])
-def test_search_runs_only_calibrated_specs(noisy_ds, drawn, spec):
-    # the baselines keep their own scans; a context never stands in for them
+@pytest.mark.parametrize("spec,message", [
+    ("top_k", "'top_k' does not calibrate on a pilot"),
+    ("brute_force", "'brute_force' does not calibrate on a pilot"),
+    ("pqe_pt_fixed:2", "'pqe_pt_fixed:2' needs a target in [0, 1]"),
+], ids=["top_k", "brute_force", "pqe_pt_fixed:2"])
+def test_search_runs_only_calibrated_specs(noisy_ds, drawn, spec, message):
+    # the baselines keep their own scans; a context never stands in for them.
+    # search parses its spec itself, so a bad target fails there too.
     ctx = sprint.SelectionContext.build(noisy_ds, sprint.resolve_query_object(noisy_ds, 0),
                                         6.0, "euclidean", *drawn, CallLedger())
-    with pytest.raises(ValueError, match=f"{spec!r} does not calibrate on a pilot"):
-        sprint.search(ctx, SprintConfig(s=S, s_p=S_P), spec, *parse_algorithm(spec))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sprint.search(ctx, SprintConfig(s=S, s_p=S_P), spec)
 
 
 @pytest.mark.parametrize("spec", ["sprint_v", "sprint_c", "two_phase", "pqe_pt_fixed:0.90",

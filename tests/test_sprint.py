@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,35 @@ class TestTernarySearch:
             grid = np.arange(0.0, 1.0 + omega / 10, omega / 10)
             g_star = grid[np.argmax([f(t) for t in grid])]
             assert abs(t_star - g_star) <= omega
+
+    @pytest.mark.parametrize("omega", [0.0, -0.1, math.nan])
+    def test_tolerance_not_above_zero_raises(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            ternary_search_max(lambda t: t, omega)
+
+
+# Each public search rejects a setting SprintConfig rejects, naming it,
+# rather than answering from no probes or failing inside its loop.
+BAD_SEARCH_SETTINGS = {
+    "sprint_v omega_v nan": (lambda ctx: sprint_v(ctx, math.nan), "omega must be positive"),
+    "sprint_c max_iters -3": (lambda ctx: sprint_c(ctx, 0.01, -3),
+                              "max_iters must be at least 1, got -3"),
+    "sprint_c omega_c nan": (lambda ctx: sprint_c(ctx, math.nan),
+                             "omega_c must be a number, got nan"),
+    "two_phase max_iters 0": (lambda ctx: two_phase(ctx, 0.01, 0.01, max_iters=0),
+                              "max_iters must be at least 1, got 0"),
+    "two_phase omega_c nan": (lambda ctx: two_phase(ctx, math.nan, 0.01),
+                              "omega_c must be a number, got nan"),
+    "two_phase omega_v nan": (lambda ctx: two_phase(ctx, 0.01, math.nan),
+                              "omega must be positive"),
+}
+
+
+@pytest.mark.parametrize("run,message", BAD_SEARCH_SETTINGS.values(), ids=BAD_SEARCH_SETTINGS)
+def test_search_rejects_settings_sprint_config_rejects(run, message):
+    ctx = make_context({i: float(i + 1) for i in range(10)}, {0, 1, 2, 3}, r=4.5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(ctx)
 
 
 class TestSprintV:
