@@ -21,11 +21,12 @@ Bytes that are not UTF-8, integers too large for a float and values nested
 too deeply to parse are also ``DataError``s naming their line.
 
 ``load_dataset`` parses the file line by line and converts the records
-``_CHUNK`` at a time, column by column: one type check over each column's
-values, one ``np.array`` and one shape check. The blocks are joined once at
-the end, one column at a time, so a load peaks below twice the size of its
-columns. A block that breaks any rule is rescanned record by record, so the
-error always names the first bad line.
+``_CHUNK`` at a time, column by column, in ``_block``: each record rule is
+written once, as a check over a whole column, before one ``np.array`` per
+column. The blocks are joined once at the end, one column at a time, so a
+load peaks below twice the size of its columns. A block that breaks a rule
+is checked again one record at a time by the same ``_block``, so the error
+always names the first bad line and, within it, the first rule it breaks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -240,7 +242,6 @@ _CHUNK = 1024
 
 # Record columns in ``Dataset`` order; ``attr`` is a number, the rest vectors.
 _COLUMNS = ("attr", "features", "oracle_emb", "proxy_emb")
-_RECORD_KEYS = frozenset(_COLUMNS)
 
 
 def _header_dim(header: dict, key: str, line_no: int) -> int:
@@ -248,14 +249,6 @@ def _header_dim(header: dict, key: str, line_no: int) -> int:
     if type(dim) is not int or dim < 1:
         raise DataError(f"line {line_no}: {key} must be an integer >= 1, got {dim!r}")
     return dim
-
-
-def _check_floats(values: list, key: str, line_no: int) -> None:
-    """Every number converts to a float: a JSON integer may be too large for one."""
-    try:
-        list(map(float, values))
-    except OverflowError:
-        raise DataError(f"line {line_no}: {key} holds a number too large for a float") from None
 
 
 def _header_bounds(header: dict, line_no: int) -> tuple[float, float] | None:
@@ -268,10 +261,14 @@ def _header_bounds(header: dict, line_no: int) -> tuple[float, float] | None:
         or not all(type(x) in _NUMBER for x in bounds)
     ):
         raise DataError(f"line {line_no}: header attr_bounds must be [a, b]")
-    _check_floats(bounds, "header attr_bounds", line_no)
-    if not all(math.isfinite(x) for x in bounds):
+    try:
+        a, b = float(bounds[0]), float(bounds[1])
+    except OverflowError:  # a JSON integer too large for a float
+        raise DataError(f"line {line_no}: header attr_bounds holds a number too large "
+                        "for a float") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise DataError(f"line {line_no}: header attr_bounds must be finite, got {bounds}")
-    return float(bounds[0]), float(bounds[1])
+    return a, b
 
 
 # ``json.loads`` without its per-call checks: on a stripped line that parses
@@ -304,52 +301,51 @@ def _parse_line(line: str, line_no: int) -> dict:
     return record
 
 
-def _check_vector(record: dict, key: str, dim: int, line_no: int) -> None:
-    vec = record[key]
-    if not isinstance(vec, list) or not all(type(x) in _NUMBER for x in vec):
-        raise DataError(f"line {line_no}: {key} must be a list of numbers")
-    if len(vec) != dim:
-        raise DataError(f"line {line_no}: {key} has length {len(vec)}, expected {dim}")
-    _check_floats(vec, key, line_no)
+def _block(records: list[dict], lines: list[int], start: int, dims: dict) -> list[np.ndarray]:
+    """The records' columns, one float64 array each, or a ``DataError``
+    naming the first bad line and, within it, the first broken rule.
 
-
-def _check_records(records: list[dict], lines: list[int], start: int, dims: dict) -> None:
-    """The per-record rules, in file order: raise for the first bad record."""
-    for pos, (record, line_no) in enumerate(zip(records, lines), start):
-        if type(record["attr"]) not in _NUMBER:
-            raise DataError(f"line {line_no}: attr must be a number")
-        rid = record.get("id", pos)
-        if type(rid) is not int or rid != pos:
-            raise DataError(f"line {line_no}: id {rid!r} is not the record's position {pos}")
-        _check_floats([record["attr"]], "attr", line_no)
-        for key, dim in dims.items():
-            _check_vector(record, key, dim, line_no)
-
-
-def _fast_block(records: list[dict], start: int, dims: dict) -> list[np.ndarray] | None:
-    """The records' columns, one array each, or None when any record breaks a rule.
-
-    Types are checked before ``np.array``, which would accept a bool among
-    floats, parse the string ``"1.0"``, and compare ``True`` equal to 1.
+    Each rule runs over a whole column, in this order: required keys,
+    ``attr`` type, ``id``, ``attr`` overflow, then for each vector its
+    element types, its length and its overflow. A rule that fails on
+    several records re-checks them one at a time, in file order, with this
+    function; the one-record call raises that rule's error. Types are checked
+    before ``np.array``, which would accept a bool among floats, parse the
+    string ``"1.0"``, and compare ``True`` equal to 1.
     """
-    stop = start + len(records)
-    ids = [r.get("id", pos) for pos, r in zip(range(start, stop), records)]
-    attrs = [r["attr"] for r in records]
-    if (set(map(type, ids)) != {int} or ids != list(range(start, stop))
-            or not set(map(type, attrs)) <= _NUMBER):
-        return None
+    def broken(message: str) -> NoReturn:
+        if len(records) == 1:
+            raise DataError(f"line {lines[0]}: {message}")
+        for i in range(len(records)):
+            _block(records[i:i + 1], lines[i:i + 1], start + i, dims)
+        raise RuntimeError(f"lines {lines[0]}-{lines[-1]}: the column checks rejected "
+                           "records the per-record checks accept")
+
+    try:
+        attrs = [r["attr"] for r in records]
+        vectors = {key: [r[key] for r in records] for key in dims}
+    except KeyError:
+        broken("record needs attr, features, oracle_emb, proxy_emb")
+    if not set(map(type, attrs)) <= _NUMBER:
+        broken("attr must be a number")
+    ids = [r.get("id", pos) for pos, r in enumerate(records, start)]
+    if not set(map(type, ids)) <= {int} or ids != list(range(start, start + len(records))):
+        broken(f"id {ids[0]!r} is not the record's position {start}")
     try:
         block = [np.array(attrs, dtype=np.float64)]
-        for key, dim in dims.items():
-            rows = [r[key] for r in records]
-            if (set(map(type, rows)) != {list}
-                    or not set(map(type, chain.from_iterable(rows))) <= _NUMBER):
-                return None
+    except OverflowError:  # a JSON integer too large for a float
+        broken("attr holds a number too large for a float")
+    for key, dim in dims.items():
+        rows = vectors[key]
+        if (not set(map(type, rows)) <= {list}
+                or not set(map(type, chain.from_iterable(rows))) <= _NUMBER):
+            broken(f"{key} must be a list of numbers")
+        if not set(map(len, rows)) <= {dim}:
+            broken(f"{key} has length {len(rows[0])}, expected {dim}")
+        try:
             block.append(np.array(rows, dtype=np.float64))
-            if block[-1].shape != (len(records), dim):
-                return None
-    except (OverflowError, ValueError):  # an integer too large, or rows of unequal length
-        return None
+        except OverflowError:
+            broken(f"{key} holds a number too large for a float")
     return block
 
 
@@ -367,15 +363,8 @@ def load_dataset(path: str) -> Dataset:
     n = 0
 
     def flush() -> None:
-        """Convert the pending records; a bad block is rescanned record by
-        record so the error names the first bad line."""
         nonlocal n
-        block = _fast_block(records, n, dims)
-        if block is None:
-            _check_records(records, lines, n, dims)
-            raise RuntimeError(f"lines {lines[0]}-{lines[-1]}: the column checks rejected "
-                               "records the per-record checks accept")
-        for col, arr in zip(columns, block):
+        for col, arr in zip(columns, _block(records, lines, n, dims)):
             col.append(arr)
         n += len(records)
         records.clear()
@@ -388,24 +377,20 @@ def load_dataset(path: str) -> Dataset:
                 continue
             try:
                 record = _parse_line(line, line_no)
-                if header is None:
-                    if "feature_dim" not in record or "embedding_dim" not in record:
-                        raise DataError(f"line {line_no}: header must declare feature_dim "
-                                        "and embedding_dim")
-                    header = record
-                    feature_dim = _header_dim(record, "feature_dim", line_no)
-                    embedding_dim = _header_dim(record, "embedding_dim", line_no)
-                    dims = {"features": feature_dim,
-                            "oracle_emb": embedding_dim, "proxy_emb": embedding_dim}
-                    bounds = _header_bounds(record, line_no)
-                    continue
-                if not record.keys() >= _RECORD_KEYS:
-                    raise DataError(
-                        f"line {line_no}: record needs attr, features, oracle_emb, proxy_emb"
-                    )
             except DataError:
-                _check_records(records, lines, n, dims)  # an earlier bad record wins
+                _block(records, lines, n, dims)  # an earlier bad record wins
                 raise
+            if header is None:
+                if "feature_dim" not in record or "embedding_dim" not in record:
+                    raise DataError(f"line {line_no}: header must declare feature_dim "
+                                    "and embedding_dim")
+                header = record
+                feature_dim = _header_dim(record, "feature_dim", line_no)
+                embedding_dim = _header_dim(record, "embedding_dim", line_no)
+                dims = {"features": feature_dim,
+                        "oracle_emb": embedding_dim, "proxy_emb": embedding_dim}
+                bounds = _header_bounds(record, line_no)
+                continue
             records.append(record)
             lines.append(line_no)
             if len(records) == _CHUNK:

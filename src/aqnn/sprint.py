@@ -74,6 +74,16 @@ def parse_algorithm(spec: str) -> tuple[str, float | None]:
     return name, t
 
 
+def _check_settings(max_iters: int | None = None, **fractions: float) -> None:
+    """The search settings rule: each named value lies in (0, 1), and
+    ``max_iters``, when given, is an ``int`` of at least 1 (not a bool)."""
+    for name, value in fractions.items():
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    if max_iters is not None and (type(max_iters) is not int or max_iters < 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+
+
 @dataclass(frozen=True)
 class SprintConfig:
     """Pipeline parameters: sizes, search tolerances, confidence, seed."""
@@ -91,14 +101,8 @@ class SprintConfig:
             raise ValueError("sample and pilot sizes must be positive")
         if self.s_p > self.s:
             raise ValueError("pilot size cannot exceed sample size")
-        if not 0.0 < self.omega_v < 1.0:
-            raise ValueError("omega_v must lie in (0, 1)")
-        if not 0.0 < self.omega_c < 1.0:
-            raise ValueError("omega_c must lie in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        _check_settings(omega_v=self.omega_v, omega_c=self.omega_c, alpha=self.alpha,
+                        max_iters=self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,7 @@ class SelectionContext:
 
 def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionResult:
     """Maximize pilot F1 by ternary search over the precision target."""
+    _check_settings(omega_v=omega_v)
     ctx.require_pilot_truth()
     t_star, iterations = ternary_search_max(lambda t: ctx.table.labeled_prf1(t)[2], omega_v)
     return ctx.result(t_star, "sprint_v", 2 * iterations)
@@ -283,10 +288,7 @@ def _balance_search(
     unreachable; the iteration cap bounds the loop and the best-gap target
     seen wins.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
-    if math.isnan(omega_c):
-        raise ValueError(f"omega_c must be a number, got {omega_c!r}")
+    _check_settings(omega_c=omega_c, max_iters=max_iters)
     lo, hi = 0.0, 1.0
     best_gap, best_t = None, None
     probes = 0
@@ -325,6 +327,7 @@ def two_phase(
     Phase 1 finds the balanced target t_c; phase 2 ternary-searches F1 on
     the window t_c +- TWO_PHASE_WINDOW clipped to [0, 1].
     """
+    _check_settings(omega_v=omega_v)
     ctx.require_pilot_truth()
     t_c, probes_c = _balance_search(ctx, omega_c, max_iters)
     lo = max(0.0, t_c - TWO_PHASE_WINDOW)

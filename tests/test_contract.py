@@ -7,7 +7,9 @@ writes the benchmark's JSONL populations with its own writer, so a loader
 that stopped reading them would otherwise fail only in a benchmark run.
 The README's Python examples are run as written, so a signature they call
 cannot change without them, and ``tools/grid_cells.py``, which imports the
-benchmark's inputs and grid configuration, is run for one round.
+benchmark's inputs and grid configuration, is run for one round. Every
+mutant in ``tools/mutants.py`` must still name a snippet that occurs once in
+``src`` and tests that exist, so its table cannot rot between mutant runs.
 """
 
 import importlib
@@ -108,3 +110,16 @@ def test_grid_cells_tool_runs():
     assert report["rounds"] == 1 and report["round_ms_median"] > 0
     assert set(report["cell_ms_median"]) == {"sprint_v", "sprint_c", "two_phase", "top_k",
                                              "brute_force"}
+
+
+def test_mutant_table_matches_the_source():
+    spec = importlib.util.spec_from_file_location("_mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (ROOT / "src" / m.path).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
+        for node in m.tests:
+            path, *names = node.split("::")
+            function = names[-1].partition("[")[0]
+            assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), node

@@ -194,6 +194,12 @@ class TestLoadDataset:
              "line 2: features holds a number too large for a float"),
             ([{**HEADER, "attr_bounds": [0, 10**400]}, _record(0, 1.0, [0.0, 0.0])],
              "line 1: header attr_bounds holds a number too large for a float"),
+            # within one record a vector's length is checked before its overflow
+            ([HEADER, _record(0, 1.0, [0.0, 0.0, int("9" * 400)])],
+             "line 2: features has length 3, expected 2"),
+            # and the id before the attr's overflow
+            ([HEADER, _record(0, 1.0, [0.0, 0.0]), _record(7, int("9" * 400), [1.0, 1.0])],
+             "line 3: id 7 is not the record's position 1"),
         ],
     )
     def test_integer_too_large_for_a_float_names_line(self, tmp_path, lines, message):

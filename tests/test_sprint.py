@@ -145,20 +145,32 @@ class TestTernarySearch:
             ternary_search_max(lambda t: t, omega)
 
 
-# Each public search rejects a setting SprintConfig rejects, naming it,
-# rather than answering from no probes or failing inside its loop.
+# Each public search, like SprintConfig, rejects a setting outside the one
+# settings rule, naming it, rather than answering from no probes or failing
+# inside its loop.
 BAD_SEARCH_SETTINGS = {
-    "sprint_v omega_v nan": (lambda ctx: sprint_v(ctx, math.nan), "omega must be positive"),
+    "sprint_v omega_v nan": (lambda ctx: sprint_v(ctx, math.nan),
+                             "omega_v must lie in (0, 1), got nan"),
+    "sprint_v omega_v 1.5": (lambda ctx: sprint_v(ctx, 1.5),
+                             "omega_v must lie in (0, 1), got 1.5"),
     "sprint_c max_iters -3": (lambda ctx: sprint_c(ctx, 0.01, -3),
-                              "max_iters must be at least 1, got -3"),
+                              "max_iters must be an integer >= 1, got -3"),
+    "sprint_c max_iters 2.5": (lambda ctx: sprint_c(ctx, 0.01, 2.5),
+                               "max_iters must be an integer >= 1, got 2.5"),
     "sprint_c omega_c nan": (lambda ctx: sprint_c(ctx, math.nan),
-                             "omega_c must be a number, got nan"),
+                             "omega_c must lie in (0, 1), got nan"),
+    "sprint_c omega_c -1": (lambda ctx: sprint_c(ctx, -1.0),
+                            "omega_c must lie in (0, 1), got -1.0"),
     "two_phase max_iters 0": (lambda ctx: two_phase(ctx, 0.01, 0.01, max_iters=0),
-                              "max_iters must be at least 1, got 0"),
+                              "max_iters must be an integer >= 1, got 0"),
     "two_phase omega_c nan": (lambda ctx: two_phase(ctx, math.nan, 0.01),
-                              "omega_c must be a number, got nan"),
+                              "omega_c must lie in (0, 1), got nan"),
     "two_phase omega_v nan": (lambda ctx: two_phase(ctx, 0.01, math.nan),
-                              "omega must be positive"),
+                              "omega_v must lie in (0, 1), got nan"),
+    "SprintConfig max_iters 2.5": (lambda ctx: SprintConfig(s=500, s_p=100, max_iters=2.5),
+                                   "max_iters must be an integer >= 1, got 2.5"),
+    "SprintConfig max_iters True": (lambda ctx: SprintConfig(s=500, s_p=100, max_iters=True),
+                                    "max_iters must be an integer >= 1, got True"),
 }
 
 
