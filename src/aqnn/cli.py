@@ -104,7 +104,8 @@ def _load_or_generate(args, seed: int):
 
 
 def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
-    """Query targets from ``spec``; ``random:k`` draws k distinct ids below ``n``."""
+    """Query targets from ``spec``; ``random:k`` draws k distinct ids below ``n``,
+    so k above ``n`` is a usage error."""
     if spec.startswith("random:"):
         try:
             k = int(spec.split(":", 1)[1])
@@ -112,8 +113,11 @@ def _resolve_queries(spec: str, n: int, seed: int) -> list[int]:
             raise UsageError(f"--queries {spec!r}: expected random:<k> with an integer k") from exc
         if k < 1:
             raise UsageError(f"--queries {spec!r}: random:<k> needs k >= 1")
+        if k > n:
+            raise UsageError(f"--queries {spec!r}: random:{k} draws more ids than the "
+                             f"population of {n}")
         rng = spawn_rng(seed, "query-targets")
-        return [int(i) for i in rng.choice(n, size=min(k, n), replace=False)]
+        return [int(i) for i in rng.choice(n, size=k, replace=False)]
     try:
         ids = [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:

@@ -22,11 +22,13 @@ too deeply to parse are also ``DataError``s naming their line.
 
 ``load_dataset`` parses the file line by line and converts the records
 ``_CHUNK`` at a time, column by column, in ``_block``: each record rule is
-written once, as a check over a whole column, before one ``np.array`` per
-column. The blocks are joined once at the end, one column at a time, so a
-load peaks below twice the size of its columns. A block that breaks a rule
-is checked again one record at a time by the same ``_block``, so the error
-always names the first bad line and, within it, the first rule it breaks.
+written once, as a check over a whole column, before one array per column.
+Each block is written into columns allocated once, sized by a count of the
+file's newline bytes, so loading a file peaks at its columns plus one block.
+A source that cannot seek (a pipe) is not counted: its columns start empty
+and grow by doubling. A block that breaks a rule is checked again one record
+at a time by the same ``_block``, so the error always names the first bad
+line and, within it, the first rule it breaks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import NoReturn
 
@@ -240,9 +243,6 @@ _NUMBER = frozenset((int, float))
 # noise, small enough that one block of parsed JSON stays a few MB.
 _CHUNK = 1024
 
-# Record columns in ``Dataset`` order; ``attr`` is a number, the rest vectors.
-_COLUMNS = ("attr", "features", "oracle_emb", "proxy_emb")
-
 
 def _header_dim(header: dict, key: str, line_no: int) -> int:
     dim = header[key]
@@ -343,7 +343,8 @@ def _block(records: list[dict], lines: list[int], start: int, dims: dict) -> lis
         if not set(map(len, rows)) <= {dim}:
             broken(f"{key} has length {len(rows[0])}, expected {dim}")
         try:
-            block.append(np.array(rows, dtype=np.float64))
+            block.append(np.fromiter(chain.from_iterable(rows), np.float64,
+                                     len(rows) * dim).reshape(len(rows), dim))
         except OverflowError:
             broken(f"{key} holds a number too large for a float")
     return block
@@ -352,25 +353,38 @@ def _block(records: list[dict], lines: list[int], start: int, dims: dict) -> lis
 def load_dataset(path: str) -> Dataset:
     """Load a JSONL dataset; record i is object i, and its ``id``, if given, must be i.
 
-    Records are parsed line by line and converted ``_CHUNK`` at a time, one
-    numpy block per column; the blocks are joined once at the end.
+    Records are parsed line by line and converted ``_CHUNK`` at a time, each
+    block written into columns allocated once: as many rows as the file has
+    newline bytes, counted before parsing when the source can seek, and
+    doubled whenever a block would pass the end (a pipe starts at 0 rows).
+    The columns returned are views of exactly the rows read.
     """
     header = None
     dims: dict[str, int] = {}
     records: list[dict] = []
     lines: list[int] = []
-    columns: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
+    columns: list[np.ndarray] = []
     n = 0
 
     def flush() -> None:
         nonlocal n
-        for col, arr in zip(columns, _block(records, lines, n, dims)):
-            col.append(arr)
-        n += len(records)
+        k = len(records)
+        block = _block(records, lines, n, dims)
+        if n + k > len(columns[0]):  # a source that could not be counted, or grew
+            for i, col in enumerate(columns):  # one column at a time, freeing the old
+                columns[i] = np.empty((max(2 * len(col), n + k), *col.shape[1:]))
+                columns[i][:n] = col[:n]
+        for col, arr in zip(columns, block):
+            col[n:n + k] = arr
+        n += k
         records.clear()
         lines.clear()
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = 0  # newline bytes: at least the records, unless the file grows
+        if fh.seekable():
+            rows = sum(chunk.count(b"\n") for chunk in iter(partial(fh.buffer.read, 1 << 20), b""))
+            fh.seek(0)
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -390,6 +404,7 @@ def load_dataset(path: str) -> Dataset:
                 dims = {"features": feature_dim,
                         "oracle_emb": embedding_dim, "proxy_emb": embedding_dim}
                 bounds = _header_bounds(record, line_no)
+                columns = [np.empty(rows)] + [np.empty((rows, d)) for d in dims.values()]
                 continue
             records.append(record)
             lines.append(line_no)
@@ -399,12 +414,7 @@ def load_dataset(path: str) -> Dataset:
         flush()
     if header is None or n == 0:
         raise DataError("empty dataset")
-
-    # Join one column at a time, dropping its blocks before the next.
-    arrays = []
-    while columns:
-        arrays.append(np.concatenate(columns.pop(0)))
-    attrs, features, oracle_emb, proxy_emb = arrays
+    attrs, features, oracle_emb, proxy_emb = (col[:n] for col in columns)
     return Dataset(attrs=attrs, features=features, oracle_emb=oracle_emb,
                    proxy_emb=proxy_emb, attr_bounds=bounds)
 

@@ -84,6 +84,12 @@ def _check_settings(max_iters: int | None = None, **fractions: float) -> None:
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
+def _is_integer(value) -> bool:
+    """The integer rule for sizes, seeds and object ids: an ``int`` or a
+    numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SprintConfig:
     """Pipeline parameters: sizes, search tolerances, confidence, seed."""
@@ -97,6 +103,9 @@ class SprintConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("s", self.s), ("s_p", self.s_p), ("seed", self.seed)):
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.s <= 0 or self.s_p <= 0:
             raise ValueError("sample and pilot sizes must be positive")
         if self.s_p > self.s:
@@ -337,14 +346,10 @@ def two_phase(
     return ctx.result(t_star, "two_phase", probes_c + 2 * iterations)
 
 
-def _is_object_id(q) -> bool:
-    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-
-
 def as_query_id(q, n: int | None = None) -> int:
     """The one id rule: ``q`` as an ``int`` if it is a non-bool integer, in
     ``[0, n)`` when ``n`` is given; else a ``ValueError`` naming it."""
-    if not _is_object_id(q):
+    if not _is_integer(q):
         raise ValueError(f"query target {q!r} is not an integer object id")
     if n is not None and not 0 <= q < n:
         raise ValueError(f"query target {q} outside population {n}")
@@ -359,7 +364,7 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
     -1 whose oracle and proxy embeddings are both the vector. Any other
     target is a ``ValueError`` naming it.
     """
-    if _is_object_id(q_id):
+    if _is_integer(q_id):
         i = as_query_id(q_id, len(ds))
         return DataObject(i, ds.oracle_emb[i], ds.proxy_emb[i])
     try:

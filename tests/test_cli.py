@@ -583,6 +583,7 @@ class TestBadInputFailsLoudly:
 
     @pytest.mark.parametrize("spec,message", [
         ("random:0", "random:<k> needs k >= 1"),
+        ("random:301", "random:301 draws more ids than the population of 300"),
         ("1,x", "expected comma-separated integer ids"),
         (",", "empty query list"),
     ])

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from aqnn import (
     load_dataset,
     save_dataset,
 )
+from aqnn import dataset as dataset_mod
 from aqnn.sprint import resolve_query_object
 
 
@@ -240,6 +243,63 @@ class TestLoadDataset:
         path2 = tmp_path / "rt2.jsonl"
         save_dataset(again, str(path2))
         assert path.read_text() == path2.read_text()
+
+
+# The same population written with other line endings and blank lines. The
+# loader sizes its columns by the file's \n bytes, so a \r-only file, like a
+# pipe, starts at 0 rows and grows by doubling.
+SOURCES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr only": lambda text: text.replace("\n", "\r"),
+    "blank lines": lambda text: text.replace("\n", "\n\n  \n"),
+    "no final newline": lambda text: text.rstrip("\n"),
+}
+
+
+class TestLoadedColumns:
+    @pytest.fixture
+    def population(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "_CHUNK", 64)  # several blocks, several doublings
+        ds = generate_synthetic(SyntheticGenConfig(n_objects=300, embedding_dim=3, n_clusters=3,
+                                                   proxy_noise_sigma=0.2, seed=4))
+        path = tmp_path / "plain.jsonl"
+        save_dataset(ds, str(path))
+        return ds, path.read_text()
+
+    @staticmethod
+    def assert_exact_columns(ds, n):
+        assert len(ds) == n
+        for col in (ds.attrs, ds.features, ds.oracle_emb, ds.proxy_emb):
+            assert col.dtype == np.float64 and col.flags.c_contiguous and len(col) == n
+
+    def test_plain_file_columns_are_exact(self, tmp_path, population):
+        ds, _ = population
+        loaded = load_dataset(str(tmp_path / "plain.jsonl"))
+        assert loaded == ds
+        self.assert_exact_columns(loaded, 300)
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_line_endings_and_blank_lines_load_equal(self, tmp_path, population, kind):
+        ds, text = population
+        path = tmp_path / "variant.jsonl"
+        path.write_bytes(SOURCES[kind](text).encode())
+        loaded = load_dataset(str(path))
+        assert loaded == ds
+        self.assert_exact_columns(loaded, 300)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_loads_equal(self, tmp_path, population):
+        ds, text = population
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            loaded = load_dataset(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert loaded == ds
+        self.assert_exact_columns(loaded, 300)
 
 
 class TestGenerateSynthetic:

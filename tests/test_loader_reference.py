@@ -250,7 +250,8 @@ def test_bad_vector_then_invalid_json_in_one_block(tmp_path, monkeypatch):
     assert_same_outcome(path)
 
 
-def test_load_peak_memory_below_reference(tmp_path):
+def test_load_peak_memory_below_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_CHUNK", 64)
     ds = generate_synthetic(SyntheticGenConfig(n_objects=20_000, seed=5))
     path = str(tmp_path / "pop.jsonl")
     save_dataset(ds, path)
@@ -263,5 +264,6 @@ def test_load_peak_memory_below_reference(tmp_path):
         tracemalloc.stop()
     assert loaded == ds
     # The reference holds a numpy row per vector and stacks them, peaking at
-    # 3.4x the column bytes on this file; the chunked build stays under 2x.
-    assert peak < 2 * column_bytes
+    # 3.4x the column bytes on this file; blocks joined at the end peaked at
+    # 1.35x. Columns allocated once and filled block by block stay under 1.15x.
+    assert peak < 1.15 * column_bytes

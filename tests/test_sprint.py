@@ -181,6 +181,32 @@ def test_search_rejects_settings_sprint_config_rejects(run, message):
         run(ctx)
 
 
+# Sizes and the seed follow one integer rule, an int or a numpy integer but
+# never a bool, rather than failing inside the draws or running as seed 1.
+BAD_SIZES_AND_SEEDS = {
+    "s 500.5": ({"s": 500.5}, "s must be an integer, got 500.5"),
+    "s_p True": ({"s_p": True}, "s_p must be an integer, got True"),
+    "seed 1.5": ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    "seed True": ({"seed": True}, "seed must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("fields,message", BAD_SIZES_AND_SEEDS.values(), ids=BAD_SIZES_AND_SEEDS)
+def test_sprint_config_sizes_and_seed_are_integers(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SprintConfig(**{"s": 500, "s_p": 100, **fields})
+
+
+def test_sprint_config_numpy_integers_select_as_ints(clean_ds, models):
+    query = QuerySpec(q_id=2, r=6.0, agg="AVG")
+    as_ints = select_neighbors(query, SprintConfig(s=300, s_p=100, seed=5), clean_ds, *models)
+    as_numpy = select_neighbors(
+        query, SprintConfig(s=np.int64(300), s_p=np.int32(100), seed=np.int64(5)),
+        clean_ds, *models)
+    assert np.array_equal(as_numpy.neighbors.member_ids, as_ints.neighbors.member_ids)
+    assert as_numpy.t_star == as_ints.t_star
+
+
 class TestSprintV:
     def test_zero_noise_recovers_exact_frnn(self, clean_ds):
         ctx, sample, _ = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1)

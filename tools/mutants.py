@@ -1,4 +1,4 @@
-"""Mutation gate for the input rules: ``python3 tools/mutants.py``.
+"""Mutation gate for the input rules and the loader's column layout: ``python3 tools/mutants.py``.
 
 Run from the repository root. Copies ``src`` to a temporary directory and,
 for each entry of ``MUTANTS``, replaces one exact source snippet in the
@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 _LOAD = "tests/test_dataset.py::TestLoadDataset::"
+_COLUMNS = "tests/test_dataset.py::TestLoadedColumns::"
 _SETTINGS = "tests/test_sprint.py::test_search_rejects_settings_sprint_config_rejects"
 
 MUTANTS = (
@@ -82,6 +83,19 @@ MUTANTS = (
            "_block(records, lines, n, dims)  # an earlier bad record wins",
            "pass",
            ("tests/test_loader_reference.py::test_bad_vector_then_invalid_json_in_one_block",)),
+    # dataset.load_dataset: columns sized by the count, grown by doubling, cut to n rows
+    Mutant("loader: columns never grow past the count", "aqnn/dataset.py",
+           "if n + k > len(columns[0]):",
+           "if False:",
+           (_COLUMNS + "test_line_endings_and_blank_lines_load_equal[cr only]",)),
+    Mutant("loader: no seek(0) after the count", "aqnn/dataset.py",
+           "fh.seek(0)",
+           "pass",
+           (_COLUMNS + "test_plain_file_columns_are_exact",)),
+    Mutant("loader: columns not cut to n rows", "aqnn/dataset.py",
+           "(col[:n] for col in columns)",
+           "(col for col in columns)",
+           (_COLUMNS + "test_plain_file_columns_are_exact",)),
     # sprint._check_settings: the search settings rule
     Mutant("settings: no upper bound on a tolerance", "aqnn/sprint.py",
            "if not 0.0 < value < 1.0:",
@@ -91,6 +105,16 @@ MUTANTS = (
            "type(max_iters) is not int",
            "not isinstance(max_iters, int)",
            (_SETTINGS + "[SprintConfig max_iters True]",)),
+    Mutant("settings: non-integer size or seed accepted", "aqnn/sprint.py",
+           "if not _is_integer(value):",
+           "if False:",
+           ("tests/test_sprint.py::test_sprint_config_sizes_and_seed_are_integers[seed 1.5]",)),
+    # cli._resolve_queries
+    Mutant("cli: random:k beyond the population not rejected", "aqnn/cli.py",
+           "if k > n:",
+           "if False:",
+           ("tests/test_cli.py::TestBadInputFailsLoudly::test_bad_query_spec"
+            "[random:301-random:301 draws more ids than the population of 300]",)),
 )
 
 
