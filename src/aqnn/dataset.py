@@ -310,8 +310,8 @@ def _block(records: list[dict], lines: list[int], start: int, dims: dict) -> lis
     element types, its length and its overflow. A rule that fails on
     several records re-checks them one at a time, in file order, with this
     function; the one-record call raises that rule's error. Types are checked
-    before ``np.array``, which would accept a bool among floats, parse the
-    string ``"1.0"``, and compare ``True`` equal to 1.
+    before the arrays are built, since numpy would accept a bool among floats,
+    parse the string ``"1.0"``, and compare ``True`` equal to 1.
     """
     def broken(message: str) -> NoReturn:
         if len(records) == 1:
@@ -370,7 +370,7 @@ def load_dataset(path: str) -> Dataset:
         nonlocal n
         k = len(records)
         block = _block(records, lines, n, dims)
-        if n + k > len(columns[0]):  # a source that could not be counted, or grew
+        if n + k > len(columns[0]):  # a pipe, \r line ends, or a file that grew
             for i, col in enumerate(columns):  # one column at a time, freeing the old
                 columns[i] = np.empty((max(2 * len(col), n + k), *col.shape[1:]))
                 columns[i][:n] = col[:n]
@@ -381,7 +381,7 @@ def load_dataset(path: str) -> Dataset:
         lines.clear()
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = 0  # newline bytes: at least the records, unless the file grows
+        rows = 0  # newline bytes: a row per line of a \n or \r\n file
         if fh.seekable():
             rows = sum(chunk.count(b"\n") for chunk in iter(partial(fh.buffer.read, 1 << 20), b""))
             fh.seek(0)

@@ -87,15 +87,15 @@ MUTANTS = (
     Mutant("loader: columns never grow past the count", "aqnn/dataset.py",
            "if n + k > len(columns[0]):",
            "if False:",
-           (_COLUMNS + "test_line_endings_and_blank_lines_load_equal[cr only]",)),
+           (_COLUMNS + "test_file_loads_equal[cr only]",)),
     Mutant("loader: no seek(0) after the count", "aqnn/dataset.py",
            "fh.seek(0)",
            "pass",
-           (_COLUMNS + "test_plain_file_columns_are_exact",)),
+           (_COLUMNS + "test_file_loads_equal[plain]",)),
     Mutant("loader: columns not cut to n rows", "aqnn/dataset.py",
            "(col[:n] for col in columns)",
            "(col for col in columns)",
-           (_COLUMNS + "test_plain_file_columns_are_exact",)),
+           (_COLUMNS + "test_file_loads_equal[plain]",)),
     # sprint._check_settings: the search settings rule
     Mutant("settings: no upper bound on a tolerance", "aqnn/sprint.py",
            "if not 0.0 < value < 1.0:",
