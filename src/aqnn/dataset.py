@@ -24,9 +24,10 @@ too deeply to parse are also ``DataError``s naming their line.
 ``_CHUNK`` at a time, column by column, in ``_block``: each record rule is
 written once, as a check over a whole column, before one array per column.
 Each block is written into columns allocated once, sized by a count of the
-file's newline bytes, so loading a file peaks at its columns plus one block.
-A source that cannot seek (a pipe) is not counted: its columns start empty
-and grow by doubling. A block that breaks a rule is checked again one record
+file's lines after the header, so loading a file peaks at its columns plus one
+block. A source that cannot seek (a pipe) is not counted: its columns start
+empty and grow by doubling. At the end each column is shrunk in place to
+exactly the rows read. A block that breaks a rule is checked again one record
 at a time by the same ``_block``, so the error always names the first bad
 line and, within it, the first rule it breaks.
 """
@@ -50,6 +51,10 @@ from .seeding import spawn_rng
 # under a moderate radius is governed by cluster membership.
 _CENTER_SCALE = 4.0
 _WITHIN_CLUSTER_SCALE = 1.0
+
+# |x - y|^2 <= 2|x|^2 + 2|y|^2: while embeddings' squared norms stay within
+# this bound, so do the squared distances between them, with room to round.
+MAX_SQ_NORM = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,11 @@ class Dataset:
         self.proxy_emb = proxy_emb
         self.attr_bounds = (a, b)
         self.oracle_sq_norms = np.einsum("ij,ij->i", oracle_emb, oracle_emb)
+        for name, sq_norms in (("oracle_emb", self.oracle_sq_norms),
+                               ("proxy_emb", np.einsum("ij,ij->i", proxy_emb, proxy_emb))):
+            if not (sq_norms <= MAX_SQ_NORM).all():
+                raise DataError(f"{name} row {int(np.argmax(sq_norms > MAX_SQ_NORM))} is too "
+                                "large: its squared distances would overflow")
         self.cluster_assignment: np.ndarray | None = None  # set by the generator
         for arr in (*columns.values(), self.oracle_sq_norms):
             arr.setflags(write=False)
@@ -355,9 +365,9 @@ def load_dataset(path: str) -> Dataset:
 
     Records are parsed line by line and converted ``_CHUNK`` at a time, each
     block written into columns allocated once: as many rows as the file has
-    newline bytes, counted before parsing when the source can seek, and
-    doubled whenever a block would pass the end (a pipe starts at 0 rows).
-    The columns returned are views of exactly the rows read.
+    lines after the header, counted before parsing when the source can seek,
+    and doubled whenever a block would pass the end (a pipe starts at 0 rows).
+    Each column is then shrunk in place to exactly the rows read.
     """
     header = None
     dims: dict[str, int] = {}
@@ -381,9 +391,11 @@ def load_dataset(path: str) -> Dataset:
         lines.clear()
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = 0  # newline bytes: a row per line of a \n or \r\n file
+        rows = 0  # a row per line after the header's, in a \n or \r\n file
         if fh.seekable():
             rows = sum(chunk.count(b"\n") for chunk in iter(partial(fh.buffer.read, 1 << 20), b""))
+            fh.buffer.seek(max(fh.buffer.tell() - 1, 0))
+            rows -= fh.buffer.read(1) == b"\n"  # lines less one; an unended last line counts
             fh.seek(0)
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -414,9 +426,9 @@ def load_dataset(path: str) -> Dataset:
         flush()
     if header is None or n == 0:
         raise DataError("empty dataset")
-    attrs, features, oracle_emb, proxy_emb = (col[:n] for col in columns)
-    return Dataset(attrs=attrs, features=features, oracle_emb=oracle_emb,
-                   proxy_emb=proxy_emb, attr_bounds=bounds)
+    for col in columns:  # no view of a column exists here
+        col.resize((n, *col.shape[1:]), refcheck=False)
+    return Dataset(*columns, attr_bounds=bounds)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:

@@ -12,9 +12,10 @@ refines the target within +-TWO_PHASE_WINDOW for F1.
 the three searches, the fixed-target cutoff, and the top_k and brute_force
 baselines. For the first four it builds a ``SelectionContext`` and hands it
 to ``search``; a caller running several of them on one sample and pilot
-builds the context once and calls ``search`` for each. ``select_neighbors``
-draws the sample and pilot and runs the aggregation's search through
-``select``. Each step reads the model its role fixes.
+builds the context once and calls ``search`` for each. A search reads its
+settings from the ``SprintConfig`` that checked them, as ``name(ctx, cfg)``.
+``select_neighbors`` draws the sample and pilot and runs the aggregation's
+search through ``select``. Each step reads the model its role fixes.
 
 One root seed drives independent derived streams for the sample and the
 pilot, so resizing the pilot never perturbs the sample. The ledger over a
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .aggregate import SENSITIVITY
-from .dataset import DataObject, Dataset
+from .dataset import MAX_SQ_NORM, DataObject, Dataset
 from .errors import DegenerateNeighborhoodError
 from .frnn import (
     CalibrationTable,
@@ -74,16 +75,6 @@ def parse_algorithm(spec: str) -> tuple[str, float | None]:
     return name, t
 
 
-def _check_settings(max_iters: int | None = None, **fractions: float) -> None:
-    """The search settings rule: each named value lies in (0, 1), and
-    ``max_iters``, when given, is an ``int`` of at least 1 (not a bool)."""
-    for name, value in fractions.items():
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-    if max_iters is not None and (type(max_iters) is not int or max_iters < 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-
-
 def _is_integer(value) -> bool:
     """The integer rule for sizes, seeds and object ids: an ``int`` or a
     numpy integer, never a bool."""
@@ -110,8 +101,11 @@ class SprintConfig:
             raise ValueError("sample and pilot sizes must be positive")
         if self.s_p > self.s:
             raise ValueError("pilot size cannot exceed sample size")
-        _check_settings(omega_v=self.omega_v, omega_c=self.omega_c, alpha=self.alpha,
-                        max_iters=self.max_iters)
+        for name in ("omega_v", "omega_c", "alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+        if type(self.max_iters) is not int or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -280,35 +274,31 @@ class SelectionContext:
             raise DegenerateNeighborhoodError(_NO_PILOT_TRUE_MSG)
 
 
-def sprint_v(ctx: SelectionContext, omega_v: float) -> SelectionResult:
+def sprint_v(ctx: SelectionContext, cfg: SprintConfig) -> SelectionResult:
     """Maximize pilot F1 by ternary search over the precision target."""
-    _check_settings(omega_v=omega_v)
     ctx.require_pilot_truth()
-    t_star, iterations = ternary_search_max(lambda t: ctx.table.labeled_prf1(t)[2], omega_v)
+    t_star, iterations = ternary_search_max(lambda t: ctx.table.labeled_prf1(t)[2], cfg.omega_v)
     return ctx.result(t_star, "sprint_v", 2 * iterations)
 
 
-def _balance_search(
-    ctx: SelectionContext, omega_c: float, max_iters: int
-) -> tuple[float, int]:
+def _balance_search(ctx: SelectionContext, cfg: SprintConfig) -> tuple[float, int]:
     """Binary search for the target equalizing pilot precision and recall.
 
-    The gap between adjacent cutoffs can jump, so the tolerance may be
-    unreachable; the iteration cap bounds the loop and the best-gap target
-    seen wins.
+    The gap between adjacent cutoffs can jump, so the tolerance
+    ``cfg.omega_c`` may be unreachable; ``cfg.max_iters`` bounds the loop
+    and the best-gap target seen wins.
     """
-    _check_settings(omega_c=omega_c, max_iters=max_iters)
     lo, hi = 0.0, 1.0
     best_gap, best_t = None, None
     probes = 0
-    for _ in range(max_iters):
+    for _ in range(cfg.max_iters):
         t = (lo + hi) / 2.0
         p, r, _ = ctx.table.labeled_prf1(t)
         probes += 1
         gap = abs(r - p)
         if best_gap is None or gap < best_gap:
             best_gap, best_t = gap, t
-        if gap <= omega_c:
+        if gap <= cfg.omega_c:
             best_t = t
             break
         if p <= r:
@@ -318,31 +308,25 @@ def _balance_search(
     return best_t, probes
 
 
-def sprint_c(
-    ctx: SelectionContext, omega_c: float, max_iters: int = SprintConfig.max_iters
-) -> SelectionResult:
+def sprint_c(ctx: SelectionContext, cfg: SprintConfig) -> SelectionResult:
     """Equalize pilot precision and recall by binary search over the target."""
     ctx.require_pilot_truth()
-    t_star, probes = _balance_search(ctx, omega_c, max_iters)
+    t_star, probes = _balance_search(ctx, cfg)
     return ctx.result(t_star, "sprint_c", probes)
 
 
-def two_phase(
-    ctx: SelectionContext, omega_c: float, omega_v: float,
-    max_iters: int = SprintConfig.max_iters,
-) -> SelectionResult:
+def two_phase(ctx: SelectionContext, cfg: SprintConfig) -> SelectionResult:
     """Balance precision and recall, then refine nearby for the best F1.
 
-    Phase 1 finds the balanced target t_c; phase 2 ternary-searches F1 on
-    the window t_c +- TWO_PHASE_WINDOW clipped to [0, 1].
+    Phase 1 finds the balanced target t_c as ``sprint_c`` does; phase 2
+    ternary-searches F1 on the window t_c +- TWO_PHASE_WINDOW clipped to [0, 1].
     """
-    _check_settings(omega_v=omega_v)
     ctx.require_pilot_truth()
-    t_c, probes_c = _balance_search(ctx, omega_c, max_iters)
+    t_c, probes_c = _balance_search(ctx, cfg)
     lo = max(0.0, t_c - TWO_PHASE_WINDOW)
     hi = min(1.0, t_c + TWO_PHASE_WINDOW)
     t_star, iterations = ternary_search_max(
-        lambda t: ctx.table.labeled_prf1(t)[2], omega_v, lo, hi)
+        lambda t: ctx.table.labeled_prf1(t)[2], cfg.omega_v, lo, hi)
     return ctx.result(t_star, "two_phase", probes_c + 2 * iterations)
 
 
@@ -361,8 +345,9 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
 
     An object id selects a member under ``as_query_id``'s rule. A finite
     vector of ``ds.embedding_dim`` floats becomes a pseudo-object with id
-    -1 whose oracle and proxy embeddings are both the vector. Any other
-    target is a ``ValueError`` naming it.
+    -1 whose oracle and proxy embeddings are both the vector, if its squared
+    norm is at most ``MAX_SQ_NORM``, the bound every stored row meets. Any
+    other target is a ``ValueError`` naming it.
     """
     if _is_integer(q_id):
         i = as_query_id(q_id, len(ds))
@@ -375,6 +360,8 @@ def resolve_query_object(ds: Dataset, q_id) -> DataObject:
         what = repr(q_id) if vec is None or vec.ndim == 0 else f"vector of shape {vec.shape}"
         raise ValueError(f"query target {what} is neither an object id nor a finite "
                          f"vector of {ds.embedding_dim} floats")
+    if not np.einsum("i,i", vec, vec) <= MAX_SQ_NORM:
+        raise ValueError("query target vector is too large: its squared distances would overflow")
     return DataObject(id=-1, oracle_embedding=vec, proxy_embedding=vec)
 
 
@@ -415,24 +402,22 @@ def select(
 
 
 def search(ctx: SelectionContext, cfg: SprintConfig, spec: str) -> SelectionResult:
-    """The second half of ``select`` for the specs in ``CALIBRATED``: run the
-    search ``spec`` names, or take ``pqe_pt_fixed``'s target, on a built
-    context. Charges no model call, so every result's ledger is
-    ``ctx.ledger`` as the build left it; any number of specs may run on one
-    context.
+    """The second half of ``select`` for the specs in ``CALIBRATED``: take
+    ``pqe_pt_fixed``'s target, or call the search ``spec`` names as
+    ``name(ctx, cfg)``, on a built context. Charges no model call, so every
+    result's ledger is ``ctx.ledger`` as the build left it; any number of
+    specs may run on one context.
+
+    The search is looked up among the module's globals at call time, not
+    in a table built at import, because a tracer that rebinds those globals
+    (``bench/spans.py``) must see every call.
     """
     algorithm, target = parse_algorithm(spec)
-    # The searches are looked up as module globals at call time, so a tracer
-    # that rebinds them (bench/spans.py) sees every call.
+    if algorithm not in CALIBRATED:
+        raise ValueError(f"algorithm {spec!r} does not calibrate on a pilot")
     if algorithm == "pqe_pt_fixed":
         return ctx.result(target, spec)
-    if algorithm == "sprint_v":
-        return sprint_v(ctx, cfg.omega_v)
-    if algorithm == "sprint_c":
-        return sprint_c(ctx, cfg.omega_c, cfg.max_iters)
-    if algorithm == "two_phase":
-        return two_phase(ctx, cfg.omega_c, cfg.omega_v, cfg.max_iters)
-    raise ValueError(f"algorithm {spec!r} does not calibrate on a pilot")
+    return globals()[algorithm](ctx, cfg)
 
 
 def select_neighbors(

@@ -91,7 +91,8 @@ def test_criterion_03_zero_noise_equivalence():
             ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, CallLedger()
         )
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
-        for out in (sprint_v(ctx, 0.01), sprint_c(ctx, 0.01), two_phase(ctx, 0.01, 0.01)):
+        cfg = SprintConfig(s=1000, s_p=600, seed=seed)
+        for out in (sprint_v(ctx, cfg), sprint_c(ctx, cfg), two_phase(ctx, cfg)):
             total += 1
             same = np.array_equal(out.neighbors.member_ids, truth.member_ids)
             f1 = prf1(out.neighbors, truth)[2]
@@ -182,9 +183,10 @@ def _criterion_07_trials():
         truth = exact_frnn(sample, ds.oracle_emb[sample], ds.oracle_emb[q_id], r)
         fixed = ctx.result(0.95, "pqe_pt_fixed:0.95").neighbors
         p_f, r_f, f1_f = prf1(fixed, truth)
-        sv = sprint_v(ctx, 0.01)
+        cfg = SprintConfig(s=7000, s_p=5000, seed=seed)
+        sv = sprint_v(ctx, cfg)
         f1_v = prf1(sv.neighbors, truth)[2]
-        sc = sprint_c(ctx, 0.01)
+        sc = sprint_c(ctx, cfg)
         p_c, r_c, _ = prf1(sc.neighbors, truth)
         rows.append(
             {"f1_fixed": f1_f, "gap_fixed": abs(p_f - r_f),

@@ -140,6 +140,13 @@ class TestQueryCommand:
         assert code == 2
         assert "not finite" in err
 
+    def test_embeddings_whose_distances_overflow_are_data_error(self, capsys):
+        # every proxy value is finite, but its squared distances are not
+        code, out, err = run_cli(capsys, "--seed", "1", "query", "--n", "500", "--s", "100",
+                                 "--sp", "50", "--proxy-noise", "1e300", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: proxy_emb row 0 is too large: its squared distances would overflow\n"
+
     def test_cosine_zero_row_is_data_error(self, tmp_path, capsys):
         ds = generate_synthetic(SyntheticGenConfig(n_objects=300, seed=5))
         emb = ds.oracle_emb.copy()

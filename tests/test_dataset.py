@@ -272,6 +272,7 @@ class TestLoadedColumns:
         assert len(ds) == n
         for col in (ds.attrs, ds.features, ds.oracle_emb, ds.proxy_emb):
             assert col.dtype == np.float64 and col.flags.c_contiguous and len(col) == n
+            assert col.base is None  # owns exactly its n rows: no slack kept alive
 
     @pytest.mark.parametrize("kind", SOURCES)
     def test_file_loads_equal(self, tmp_path, population, kind):
@@ -417,6 +418,18 @@ class TestDatasetInvariants:
         arrays[name][2] = bad  # the whole row for matrices, one value for attrs
         with pytest.raises(DataError, match=f"{name} row 2 is not finite"):
             Dataset(**arrays, attr_bounds=(50.0, 120.0))
+
+    @pytest.mark.parametrize("name", ["oracle_emb", "proxy_emb"])
+    def test_embeddings_whose_squared_distances_overflow_rejected(self, name):
+        # a population scaled by 1e160 from row 2 on: every value is finite,
+        # but each of those rows' squared norms, and distances, overflow
+        ds = generate_synthetic(SyntheticGenConfig(n_objects=2000, seed=1))
+        arrays = {"attrs": ds.attrs, "features": ds.features,
+                  "oracle_emb": ds.oracle_emb.copy(), "proxy_emb": ds.proxy_emb.copy()}
+        arrays[name][2:] *= 1e160
+        with pytest.raises(DataError, match=f"^{name} row 2 is too large: its squared "
+                                            "distances would overflow$"):
+            Dataset(**arrays, attr_bounds=ds.attr_bounds)
 
     def test_non_finite_json_literals_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from aqnn import CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample
+from aqnn import (CallLedger, QuerySpec, SprintConfig, draw_pilot, draw_sample, oracle_model,
+                  proxy_model)
 from aqnn import frnn, sprint
 from aqnn.cli import main
 from aqnn.frnn import distances_from
@@ -143,6 +144,27 @@ def test_result_names_the_spec_as_given(noisy_ds, drawn, spec):
     res = select(spec, QuerySpec(q_id=int(drawn[1][0]), r=6.0, agg="AVG"),
                  SprintConfig(s=S, s_p=S_P), noisy_ds, *drawn, CallLedger())
     assert res.algorithm == spec
+
+
+@pytest.mark.parametrize("agg,name", [("AVG", "sprint_v"), ("PCT", "sprint_c"),
+                                      ("SUM", "two_phase")])
+def test_searches_are_looked_up_at_call_time(noisy_ds, drawn, monkeypatch, agg, name):
+    # bench/spans.py traces the searches by rebinding sprint's globals; a
+    # dispatch table built at import would keep calling the originals.
+    calls = []
+    for search_name in ("sprint_v", "sprint_c", "two_phase"):
+        def spy(ctx, cfg, search_name=search_name, original=getattr(sprint, search_name)):
+            calls.append(search_name)
+            return original(ctx, cfg)
+        monkeypatch.setattr(sprint, search_name, spy)
+    query = QuerySpec(q_id=int(drawn[1][0]), r=6.0, agg=agg)
+    cfg = SprintConfig(s=S, s_p=S_P, seed=8)
+    ctx = sprint.SelectionContext.build(
+        noisy_ds, sprint.resolve_query_object(noisy_ds, query.q_id), query.r, query.metric,
+        *drawn, CallLedger())
+    sprint.search(ctx, cfg, name)
+    sprint.select_neighbors(query, cfg, noisy_ds, oracle_model(), proxy_model())
+    assert calls == [name, name]
 
 
 # sha256 of canonical outputs recorded before the selection dispatch was

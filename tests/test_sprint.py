@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,13 +53,13 @@ def make_context(proxy_dist, truth_ids, r, sample_ids=None, pilot_ids=None, delt
 
 
 def build_clean_context(ds, q_id, r, s, s_p, seed):
-    ledger = CallLedger()
+    """A built context, its sample, and a config of the same sizes and seed."""
     sample = draw_sample(ds, s, seed)
     pilot = draw_pilot(sample, s_p, seed)
     ctx = SelectionContext.build(
-        ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, ledger
+        ds, resolve_query_object(ds, q_id), r, "euclidean", sample, pilot, CallLedger()
     )
-    return ctx, sample, ledger
+    return ctx, sample, SprintConfig(s=s, s_p=s_p, seed=seed)
 
 
 class TestDrawSample:
@@ -145,54 +146,29 @@ class TestTernarySearch:
             ternary_search_max(lambda t: t, omega)
 
 
-# Each public search, like SprintConfig, rejects a setting outside the one
-# settings rule, naming it, rather than answering from no probes or failing
-# inside its loop.
-BAD_SEARCH_SETTINGS = {
-    "sprint_v omega_v nan": (lambda ctx: sprint_v(ctx, math.nan),
-                             "omega_v must lie in (0, 1), got nan"),
-    "sprint_v omega_v 1.5": (lambda ctx: sprint_v(ctx, 1.5),
-                             "omega_v must lie in (0, 1), got 1.5"),
-    "sprint_c max_iters -3": (lambda ctx: sprint_c(ctx, 0.01, -3),
-                              "max_iters must be an integer >= 1, got -3"),
-    "sprint_c max_iters 2.5": (lambda ctx: sprint_c(ctx, 0.01, 2.5),
-                               "max_iters must be an integer >= 1, got 2.5"),
-    "sprint_c omega_c nan": (lambda ctx: sprint_c(ctx, math.nan),
-                             "omega_c must lie in (0, 1), got nan"),
-    "sprint_c omega_c -1": (lambda ctx: sprint_c(ctx, -1.0),
-                            "omega_c must lie in (0, 1), got -1.0"),
-    "two_phase max_iters 0": (lambda ctx: two_phase(ctx, 0.01, 0.01, max_iters=0),
-                              "max_iters must be an integer >= 1, got 0"),
-    "two_phase omega_c nan": (lambda ctx: two_phase(ctx, math.nan, 0.01),
-                              "omega_c must lie in (0, 1), got nan"),
-    "two_phase omega_v nan": (lambda ctx: two_phase(ctx, 0.01, math.nan),
-                              "omega_v must lie in (0, 1), got nan"),
-    "SprintConfig max_iters 2.5": (lambda ctx: SprintConfig(s=500, s_p=100, max_iters=2.5),
-                                   "max_iters must be an integer >= 1, got 2.5"),
-    "SprintConfig max_iters True": (lambda ctx: SprintConfig(s=500, s_p=100, max_iters=True),
-                                    "max_iters must be an integer >= 1, got True"),
-}
-
-
-@pytest.mark.parametrize("run,message", BAD_SEARCH_SETTINGS.values(), ids=BAD_SEARCH_SETTINGS)
-def test_search_rejects_settings_sprint_config_rejects(run, message):
-    ctx = make_context({i: float(i + 1) for i in range(10)}, {0, 1, 2, 3}, r=4.5)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run(ctx)
-
-
-# Sizes and the seed follow one integer rule, an int or a numpy integer but
-# never a bool, rather than failing inside the draws or running as seed 1.
-BAD_SIZES_AND_SEEDS = {
+# SprintConfig is the one home of the settings rule. Sizes and the seed are
+# integers, never bools, rather than failing inside the draws or running as
+# seed 1; the tolerances lie in (0, 1) and max_iters is an int of at least 1,
+# rather than a search answering from no probes or failing inside its loop.
+# The searches read a built config, so none of these values reaches one.
+BAD_CONFIG_FIELDS = {
     "s 500.5": ({"s": 500.5}, "s must be an integer, got 500.5"),
     "s_p True": ({"s_p": True}, "s_p must be an integer, got True"),
     "seed 1.5": ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     "seed True": ({"seed": True}, "seed must be an integer, got True"),
+    "omega_v nan": ({"omega_v": math.nan}, "omega_v must lie in (0, 1), got nan"),
+    "omega_v 1.5": ({"omega_v": 1.5}, "omega_v must lie in (0, 1), got 1.5"),
+    "omega_c nan": ({"omega_c": math.nan}, "omega_c must lie in (0, 1), got nan"),
+    "omega_c -1": ({"omega_c": -1.0}, "omega_c must lie in (0, 1), got -1.0"),
+    "max_iters -3": ({"max_iters": -3}, "max_iters must be an integer >= 1, got -3"),
+    "max_iters 0": ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
+    "max_iters 2.5": ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
+    "max_iters True": ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
 }
 
 
-@pytest.mark.parametrize("fields,message", BAD_SIZES_AND_SEEDS.values(), ids=BAD_SIZES_AND_SEEDS)
-def test_sprint_config_sizes_and_seed_are_integers(fields, message):
+@pytest.mark.parametrize("fields,message", BAD_CONFIG_FIELDS.values(), ids=BAD_CONFIG_FIELDS)
+def test_sprint_config_rejects_a_bad_field(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SprintConfig(**{"s": 500, "s_p": 100, **fields})
 
@@ -209,29 +185,29 @@ def test_sprint_config_numpy_integers_select_as_ints(clean_ds, models):
 
 class TestSprintV:
     def test_zero_noise_recovers_exact_frnn(self, clean_ds):
-        ctx, sample, _ = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1)
-        out = sprint_v(ctx, 0.01)
+        ctx, sample, cfg = build_clean_context(clean_ds, 17, 6.0, 800, 250, 1)
+        out = sprint_v(ctx, cfg)
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[17], 6.0)
         assert np.array_equal(out.neighbors.member_ids, truth.member_ids)
         assert prf1(out.neighbors, truth)[2] == 1.0
         assert out.algorithm == "sprint_v"
 
     def test_iteration_count(self, clean_ds):
-        ctx, _, _ = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2)
+        ctx, _, cfg = build_clean_context(clean_ds, 17, 6.0, 400, 150, 2)
         for omega in (0.05, 0.01):
-            out = sprint_v(ctx, omega)
+            out = sprint_v(ctx, replace(cfg, omega_v=omega))
             assert out.probes == 2 * expected_ternary_iterations(omega)
 
     def test_degenerate_pilot_raises(self, clean_ds):
-        ctx, _, _ = build_clean_context(clean_ds, 17, 1e-9, 400, 50, 3)
+        ctx, _, cfg = build_clean_context(clean_ds, 17, 1e-9, 400, 50, 3)
         with pytest.raises(DegenerateNeighborhoodError, match="pilot contains no true"):
-            sprint_v(ctx, 0.01)
+            sprint_v(ctx, cfg)
 
 
 class TestSprintC:
     def test_zero_noise_exits_on_first_probe(self, clean_ds):
-        ctx, sample, _ = build_clean_context(clean_ds, 8, 6.0, 800, 250, 4)
-        out = sprint_c(ctx, 0.01)
+        ctx, sample, cfg = build_clean_context(clean_ds, 8, 6.0, 800, 250, 4)
+        out = sprint_c(ctx, cfg)
         assert out.probes == 1
         assert out.t_star == 0.5
         truth = exact_frnn(sample, clean_ds.oracle_emb[sample], clean_ds.oracle_emb[8], 6.0)
@@ -239,8 +215,8 @@ class TestSprintC:
         assert out.algorithm == "sprint_c"
 
     def test_iteration_cap_respected(self, clean_ds):
-        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 5)
-        out = sprint_c(ctx, 1e-12, max_iters=1)
+        ctx, _, cfg = build_clean_context(clean_ds, 8, 6.0, 400, 150, 5)
+        out = sprint_c(ctx, replace(cfg, omega_c=1e-12, max_iters=1))
         assert out.probes == 1
         assert out.t_star == 0.5
 
@@ -256,38 +232,55 @@ class TestSprintC:
             p, r, _ = ctx.table.labeled_prf1(float(t))
             grid_gaps.append(abs(p - r))
         expected_min = min(grid_gaps)
-        out = sprint_c(ctx, omega_c=1e-9, max_iters=40)
+        out = sprint_c(ctx, SprintConfig(s=10, s_p=10, omega_c=1e-9, max_iters=40))
         p, r, _ = ctx.table.labeled_prf1(out.t_star)
         assert abs(p - r) == pytest.approx(expected_min, abs=1e-12)
 
+    def test_gap_equal_to_the_tolerance_ends_the_search(self):
+        # the tolerance is inclusive: a first probe whose |P - R| is exactly
+        # omega_c is the answer
+        ctx = make_context({i: float(i + 1) for i in range(10)}, {0, 1, 2, 3, 6, 7}, r=8.5)
+        p, r, _ = ctx.table.labeled_prf1(0.5)
+        assert 0.0 < abs(r - p) < 1.0
+        out = sprint_c(ctx, SprintConfig(s=10, s_p=10, omega_c=abs(r - p)))
+        assert (out.probes, out.t_star) == (1, 0.5)
+
     def test_probe_stays_strictly_inside_interval(self, clean_ds):
-        ctx, _, _ = build_clean_context(clean_ds, 8, 6.0, 400, 150, 6)
-        out = sprint_c(ctx, 1e-12, max_iters=25)
+        ctx, _, cfg = build_clean_context(clean_ds, 8, 6.0, 400, 150, 6)
+        out = sprint_c(ctx, replace(cfg, omega_c=1e-12, max_iters=25))
         assert 0.0 < out.t_star < 1.0
 
 
 class TestTwoPhase:
     def test_zero_noise_matches_other_selectors(self, clean_ds):
-        ctx, sample, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 7)
-        tp = two_phase(ctx, 0.01, 0.01)
-        sv = sprint_v(ctx, 0.01)
-        sc = sprint_c(ctx, 0.01)
+        ctx, sample, cfg = build_clean_context(clean_ds, 21, 6.0, 800, 250, 7)
+        tp = two_phase(ctx, cfg)
+        sv = sprint_v(ctx, cfg)
+        sc = sprint_c(ctx, cfg)
         assert np.array_equal(tp.neighbors.member_ids, sv.neighbors.member_ids)
         assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
         assert tp.algorithm == "two_phase"
 
     def test_refined_target_within_window(self, clean_ds):
-        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 8)
-        sc = sprint_c(ctx, 0.01)
-        tp = two_phase(ctx, 0.01, 0.01)
+        ctx, _, cfg = build_clean_context(clean_ds, 21, 6.0, 800, 250, 8)
+        sc = sprint_c(ctx, cfg)
+        tp = two_phase(ctx, cfg)
         assert sc.t_star - 0.05 - 1e-12 <= tp.t_star <= sc.t_star + 0.05 + 1e-12
+
+    def test_refinement_searches_the_window_around_the_balanced_target(self, clean_ds):
+        # zero noise: phase 1 stops at its first probe, t_c = 0.5, so phase 2
+        # ternary-searches the unclipped window [0.45, 0.55] to within omega_v
+        ctx, _, cfg = build_clean_context(clean_ds, 8, 6.0, 800, 250, 4)
+        tp = two_phase(ctx, cfg)
+        assert tp.probes == 1 + 2 * expected_ternary_iterations(cfg.omega_v / 0.1)
+        assert abs(tp.t_star - 0.5) <= 0.05
 
     def test_flat_f1_keeps_balanced_selection(self, clean_ds):
         # zero noise: F1 is flat at 1 around the balanced target, so the
         # refinement must not change the selected set
-        ctx, _, _ = build_clean_context(clean_ds, 21, 6.0, 800, 250, 9)
-        sc = sprint_c(ctx, 0.01)
-        tp = two_phase(ctx, 0.01, 0.01)
+        ctx, _, cfg = build_clean_context(clean_ds, 21, 6.0, 800, 250, 9)
+        sc = sprint_c(ctx, cfg)
+        tp = two_phase(ctx, cfg)
         assert np.array_equal(tp.neighbors.member_ids, sc.neighbors.member_ids)
 
 
@@ -378,6 +371,20 @@ def test_bad_query_target_raises(clean_ds, models, run, target):
     query = QuerySpec(q_id=_BAD_TARGETS[target](clean_ds), r=6.0, agg="PCT")
     with pytest.raises(ValueError, match="query target .* neither an object id nor a finite "
                                          "vector of 16 floats"):
+        if run == "select_neighbors":
+            select_neighbors(query, SprintConfig(s=300, s_p=100), clean_ds, *models)
+        else:
+            ground_truth(clean_ds, query)
+
+
+@pytest.mark.parametrize("run", ["select_neighbors", "ground_truth"])
+def test_vector_target_whose_distances_overflow_raises(clean_ds, models, run):
+    # finite, of norm 1e160: its squared distance to any object overflows
+    vec = np.zeros(clean_ds.embedding_dim)
+    vec[0] = 1e160
+    query = QuerySpec(q_id=vec, r=6.0, agg="PCT")
+    with pytest.raises(ValueError, match=re.escape("query target vector is too large: its "
+                                                   "squared distances would overflow")):
         if run == "select_neighbors":
             select_neighbors(query, SprintConfig(s=300, s_p=100), clean_ds, *models)
         else:

@@ -1,4 +1,4 @@
-"""Mutation gate for the input rules and the loader's column layout: ``python3 tools/mutants.py``.
+"""Mutation gate for the input rules, the loader and the searches: ``python3 tools/mutants.py``.
 
 Run from the repository root. Copies ``src`` to a temporary directory and,
 for each entry of ``MUTANTS``, replaces one exact source snippet in the
@@ -39,7 +39,7 @@ class Mutant(NamedTuple):
 
 _LOAD = "tests/test_dataset.py::TestLoadDataset::"
 _COLUMNS = "tests/test_dataset.py::TestLoadedColumns::"
-_SETTINGS = "tests/test_sprint.py::test_search_rejects_settings_sprint_config_rejects"
+_CONFIG = "tests/test_sprint.py::test_sprint_config_rejects_a_bad_field"
 
 MUTANTS = (
     # dataset._block: one mutant per JSONL record rule, in the rules' order
@@ -83,7 +83,7 @@ MUTANTS = (
            "_block(records, lines, n, dims)  # an earlier bad record wins",
            "pass",
            ("tests/test_loader_reference.py::test_bad_vector_then_invalid_json_in_one_block",)),
-    # dataset.load_dataset: columns sized by the count, grown by doubling, cut to n rows
+    # dataset.load_dataset: columns sized by the count, grown by doubling, shrunk to n rows
     Mutant("loader: columns never grow past the count", "aqnn/dataset.py",
            "if n + k > len(columns[0]):",
            "if False:",
@@ -92,23 +92,47 @@ MUTANTS = (
            "fh.seek(0)",
            "pass",
            (_COLUMNS + "test_file_loads_equal[plain]",)),
-    Mutant("loader: columns not cut to n rows", "aqnn/dataset.py",
-           "(col[:n] for col in columns)",
-           "(col for col in columns)",
-           (_COLUMNS + "test_file_loads_equal[plain]",)),
-    # sprint._check_settings: the search settings rule
+    Mutant("loader: columns not shrunk to n rows", "aqnn/dataset.py",
+           "col.resize((n, *col.shape[1:]), refcheck=False)\n"
+           "    return Dataset(*columns,",
+           "pass\n"
+           "    return Dataset(*(col[:n] for col in columns),",
+           (_COLUMNS + "test_file_loads_equal[cr only]",)),
+    # dataset.Dataset and sprint.resolve_query_object: the squared-norm bound
+    Mutant("overflow: stored rows past the norm bound accepted", "aqnn/dataset.py",
+           "if not (sq_norms <= MAX_SQ_NORM).all():",
+           "if False:",
+           ("tests/test_dataset.py::TestDatasetInvariants::"
+            "test_embeddings_whose_squared_distances_overflow_rejected[proxy_emb]",)),
+    Mutant("overflow: a vector target past the norm bound accepted", "aqnn/sprint.py",
+           'if not np.einsum("i,i", vec, vec) <= MAX_SQ_NORM:',
+           "if False:",
+           ("tests/test_sprint.py::test_vector_target_whose_distances_overflow_raises"
+            "[ground_truth]",)),
+    # sprint.SprintConfig: the one settings rule
     Mutant("settings: no upper bound on a tolerance", "aqnn/sprint.py",
-           "if not 0.0 < value < 1.0:",
-           "if not 0.0 < value:",
-           (_SETTINGS + "[sprint_v omega_v 1.5]",)),
+           "if not 0.0 < getattr(self, name) < 1.0:",
+           "if not 0.0 < getattr(self, name):",
+           (_CONFIG + "[omega_v 1.5]",)),
     Mutant("settings: bool max_iters accepted", "aqnn/sprint.py",
-           "type(max_iters) is not int",
-           "not isinstance(max_iters, int)",
-           (_SETTINGS + "[SprintConfig max_iters True]",)),
+           "type(self.max_iters) is not int",
+           "not isinstance(self.max_iters, int)",
+           (_CONFIG + "[max_iters True]",)),
     Mutant("settings: non-integer size or seed accepted", "aqnn/sprint.py",
            "if not _is_integer(value):",
            "if False:",
-           ("tests/test_sprint.py::test_sprint_config_sizes_and_seed_are_integers[seed 1.5]",)),
+           (_CONFIG + "[seed 1.5]",)),
+    # sprint._balance_search and two_phase: the searches' own constants
+    Mutant("balance: a gap equal to omega_c does not stop", "aqnn/sprint.py",
+           "if gap <= cfg.omega_c:",
+           "if gap < cfg.omega_c:",
+           ("tests/test_sprint.py::TestSprintC::"
+            "test_gap_equal_to_the_tolerance_ends_the_search",)),
+    Mutant("two_phase: refinement window widened", "aqnn/sprint.py",
+           "TWO_PHASE_WINDOW = 0.05",
+           "TWO_PHASE_WINDOW = 0.06",
+           ("tests/test_sprint.py::TestTwoPhase::"
+            "test_refinement_searches_the_window_around_the_balanced_target",)),
     # cli._resolve_queries
     Mutant("cli: random:k beyond the population not rejected", "aqnn/cli.py",
            "if k > n:",
