@@ -156,13 +156,10 @@ BAD_CONFIG_FIELDS = {
     "s_p True": ({"s_p": True}, "s_p must be an integer, got True"),
     "seed 1.5": ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     "seed True": ({"seed": True}, "seed must be an integer, got True"),
-    "omega_v nan": ({"omega_v": math.nan}, "omega_v must lie in (0, 1), got nan"),
     "omega_v 1.5": ({"omega_v": 1.5}, "omega_v must lie in (0, 1), got 1.5"),
-    "omega_c nan": ({"omega_c": math.nan}, "omega_c must lie in (0, 1), got nan"),
     "omega_c -1": ({"omega_c": -1.0}, "omega_c must lie in (0, 1), got -1.0"),
     "max_iters -3": ({"max_iters": -3}, "max_iters must be an integer >= 1, got -3"),
     "max_iters 0": ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
-    "max_iters 2.5": ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
     "max_iters True": ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
 }
 
@@ -171,6 +168,32 @@ BAD_CONFIG_FIELDS = {
 def test_sprint_config_rejects_a_bad_field(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SprintConfig(**{"s": 500, "s_p": 100, **fields})
+
+
+# A search reads its settings from a SprintConfig, and dataclasses.replace
+# runs the same rule, so a bad tolerance or cap meant for a search is refused,
+# naming it, before the search runs.
+BAD_SEARCH_SETTINGS = {
+    "sprint_v omega_v nan": (lambda ctx, cfg: sprint_v(ctx, replace(cfg, omega_v=math.nan)),
+                             "omega_v must lie in (0, 1), got nan"),
+    "sprint_c max_iters 2.5": (lambda ctx, cfg: sprint_c(ctx, replace(cfg, max_iters=2.5)),
+                               "max_iters must be an integer >= 1, got 2.5"),
+    "sprint_c omega_c nan": (lambda ctx, cfg: sprint_c(ctx, replace(cfg, omega_c=math.nan)),
+                             "omega_c must lie in (0, 1), got nan"),
+    "two_phase omega_c nan": (lambda ctx, cfg: two_phase(ctx, replace(cfg, omega_c=math.nan)),
+                              "omega_c must lie in (0, 1), got nan"),
+    "two_phase omega_v nan": (lambda ctx, cfg: two_phase(ctx, replace(cfg, omega_v=math.nan)),
+                              "omega_v must lie in (0, 1), got nan"),
+    "SprintConfig max_iters 2.5": (lambda ctx, cfg: SprintConfig(s=500, s_p=100, max_iters=2.5),
+                                   "max_iters must be an integer >= 1, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("run,message", BAD_SEARCH_SETTINGS.values(), ids=BAD_SEARCH_SETTINGS)
+def test_search_rejects_settings_sprint_config_rejects(run, message):
+    ctx = make_context({i: float(i + 1) for i in range(10)}, {0, 1, 2, 3}, r=4.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(ctx, SprintConfig(s=10, s_p=10))
 
 
 def test_sprint_config_numpy_integers_select_as_ints(clean_ds, models):
